@@ -13,11 +13,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates BENCH_PR9.json (headline, program-cache, daemon,
-# superblock and artifact-store benches, ns/op + the reproduced paper
-# metrics, compared against the recorded PR 8 baseline).
+# bench writes BENCH_OUT (headline, program-cache, daemon, superblock
+# and artifact-store benches, ns/op + the reproduced paper metrics)
+# compared against the recorded run in BENCH_BASELINE, for example
+# make bench BENCH_OUT=BENCH_NEW.json BENCH_BASELINE=BENCH_PR9.json.
+BENCH_OUT ?= BENCH_NEW.json
+BENCH_BASELINE ?= BENCH_PR9.json
+
 bench:
-	sh scripts/bench.sh
+	sh scripts/bench.sh $(BENCH_OUT) $(BENCH_BASELINE)
 
 # bench-smoke runs every benchmark exactly once so they cannot bit-rot;
 # it is part of CI and takes a few seconds.

@@ -614,8 +614,8 @@ func BenchmarkSuperblockSqlite(b *testing.B) {
 
 // BenchmarkColdVsWarmStart measures the tentpole claim of the
 // persistent artifact store: loading a serialized program (binary IR
-// decode + re-plan + image install, no workload build, no vectorizer
-// pipeline, no Seed execution, no re-verify) against the cold
+// decode + verify + re-plan + image install, no workload build, no
+// vectorizer pipeline, no Seed execution) against the cold
 // BuildProgram pipeline for the same plan key. Reports the cold
 // compile time and the cold/warm ratio, and fails if the warm path
 // compiles anything or the speedup drops below the required 5x.

@@ -25,10 +25,10 @@ import (
 // DecodeModule is defensive rather than trusting: every index is
 // bounds-checked and every error is returned, never panicked, so a
 // truncated or bit-flipped artifact degrades into a recompile instead
-// of a crash. Callers that have verified an integrity checksum may
-// skip re-running ir.Verify on the decoded module (the encoder only
-// ever sees verified modules), which is where the warm-start speedup
-// over the text parser comes from.
+// of a crash. Bounds checks are not a structural check, though: run
+// ir.Verify on the decoded module before compiling it (vm.DecodeArtifact
+// does), since an integrity checksum only proves the bytes are the ones
+// that were written.
 
 // binaryVersion is the codec version. Bump it on any change to the
 // byte layout; DecodeModule rejects other versions.
@@ -319,9 +319,8 @@ type pendingArg struct {
 }
 
 // DecodeModule reads a module in the EncodeModule format. The decoded
-// module is structurally complete but not verified; since the encoder
-// only ever sees verified modules, callers protected by an integrity
-// checksum may compile it without re-verifying.
+// module is structurally complete but not verified; callers run
+// ir.Verify before compiling it.
 func DecodeModule(data []byte) (*Module, error) {
 	d := &decoder{buf: data}
 	if v := d.u8(); d.err == nil && v != binaryVersion {
@@ -391,9 +390,17 @@ func DecodeModule(data []byte) (*Module, error) {
 }
 
 func (d *decoder) funcBody(m *Module, f *Func) error {
+	// Blocks, instructions and constants are allocated in batches: a
+	// decoded module is frozen, so its pieces live and die together.
+	// Counts are bounded by the remaining input (see count), so sizing
+	// from them up front allocates at most a constant factor of the
+	// input, however the counts are forged.
 	nBlocks := d.count("block")
+	f.Blocks = make([]*Block, 0, nBlocks)
+	blocks := make([]Block, nBlocks)
 	for i := 0; i < nBlocks && d.err == nil; i++ {
-		f.Blocks = append(f.Blocks, &Block{BName: d.str(), fn: f})
+		blocks[i] = Block{BName: d.str(), fn: f}
+		f.Blocks = append(f.Blocks, &blocks[i])
 	}
 
 	// First pass: materialize every instruction with its scalar fields
@@ -403,17 +410,22 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 	for i, p := range f.Params {
 		values[i] = p
 	}
-	var instrs []*Instr
-	var pendings [][]pendingArg
+	// Operand references of all instructions, in instruction order; the
+	// second pass consumes them in the same order.
+	var pend []pendingArg
+	nConsts := 0
 	for _, b := range f.Blocks {
 		nInstrs := d.count("instr")
+		b.Instrs = make([]*Instr, 0, nInstrs)
+		backing := make([]Instr, nInstrs)
 		for j := 0; j < nInstrs && d.err == nil; j++ {
 			op := Op(d.u8())
 			if op == OpInvalid || op > OpSwitch {
 				d.fail("unknown opcode %d", op)
 				break
 			}
-			in := &Instr{
+			in := &backing[j]
+			*in = Instr{
 				Op:    op,
 				Ty:    d.typ(),
 				Pred:  Pred(d.u8()),
@@ -425,16 +437,20 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				in.name = d.str()
 			}
 			nArgs := d.count("arg")
-			var pend []pendingArg
+			if nArgs > 0 {
+				in.Args = make([]Value, nArgs)
+			}
 			for a := 0; a < nArgs && d.err == nil; a++ {
 				pa := pendingArg{tag: d.u8()}
 				switch pa.tag {
 				case refConstInt:
 					pa.ty = d.typ()
 					pa.ival = d.varint()
+					nConsts++
 				case refConstFloat:
 					pa.ty = d.typ()
 					pa.bits = d.u64()
+					nConsts++
 				case refValue, refGlobal:
 					pa.idx = int(d.uvarint())
 				default:
@@ -443,6 +459,9 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				pend = append(pend, pa)
 			}
 			nBlockRefs := d.count("block ref")
+			if nBlockRefs > 0 {
+				in.Blocks = make([]*Block, 0, nBlockRefs)
+			}
 			for bi := 0; bi < nBlockRefs && d.err == nil; bi++ {
 				idx := int(d.uvarint())
 				if d.err == nil && idx >= len(f.Blocks) {
@@ -473,8 +492,6 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				values = append(values, in)
 			}
 			b.Instrs = append(b.Instrs, in)
-			instrs = append(instrs, in)
-			pendings = append(pendings, pend)
 		}
 	}
 	if d.err != nil {
@@ -482,28 +499,30 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 	}
 
 	// Second pass: resolve operand references (phis may point forward).
-	for i, in := range instrs {
-		pend := pendings[i]
-		if len(pend) == 0 {
-			continue
-		}
-		in.Args = make([]Value, len(pend))
-		for a, pa := range pend {
-			switch pa.tag {
-			case refConstInt:
-				in.Args[a] = &Const{Ty: pa.ty, Int: pa.ival}
-			case refConstFloat:
-				in.Args[a] = &Const{Ty: pa.ty, Float: math.Float64frombits(pa.bits)}
-			case refValue:
-				if pa.idx >= len(values) {
-					return fmt.Errorf("ir: decode: value ref %d out of range in @%s", pa.idx, f.FName)
+	consts := make([]Const, nConsts)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for a := range in.Args {
+				pa := pend[0]
+				pend = pend[1:]
+				switch pa.tag {
+				case refConstInt:
+					consts[0] = Const{Ty: pa.ty, Int: pa.ival}
+					in.Args[a], consts = &consts[0], consts[1:]
+				case refConstFloat:
+					consts[0] = Const{Ty: pa.ty, Float: math.Float64frombits(pa.bits)}
+					in.Args[a], consts = &consts[0], consts[1:]
+				case refValue:
+					if pa.idx >= len(values) {
+						return fmt.Errorf("ir: decode: value ref %d out of range in @%s", pa.idx, f.FName)
+					}
+					in.Args[a] = values[pa.idx]
+				case refGlobal:
+					if pa.idx >= len(m.Globals) {
+						return fmt.Errorf("ir: decode: global ref %d out of range in @%s", pa.idx, f.FName)
+					}
+					in.Args[a] = m.Globals[pa.idx]
 				}
-				in.Args[a] = values[pa.idx]
-			case refGlobal:
-				if pa.idx >= len(m.Globals) {
-					return fmt.Errorf("ir: decode: global ref %d out of range in @%s", pa.idx, f.FName)
-				}
-				in.Args[a] = m.Globals[pa.idx]
 			}
 		}
 	}

@@ -49,13 +49,15 @@ type DomTree struct {
 }
 
 // NewDomTree computes dominators for all blocks reachable from entry.
-func NewDomTree(f *Func) *DomTree {
+func NewDomTree(f *Func) *DomTree { return newDomTree(f, Preds(f)) }
+
+// newDomTree is NewDomTree over an already computed predecessor map.
+func newDomTree(f *Func, preds map[*Block][]*Block) *DomTree {
 	rpo := ReversePostorder(f)
 	order := make(map[*Block]int, len(rpo))
 	for i, b := range rpo {
 		order[b] = i
 	}
-	preds := Preds(f)
 	idom := make(map[*Block]*Block, len(rpo))
 	entry := f.Entry()
 	idom[entry] = entry

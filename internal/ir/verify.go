@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Verify checks the module's structural invariants: block termination,
 // phi placement and coherence with predecessors, operand typing, call
@@ -33,7 +30,7 @@ func VerifyFunc(f *Func) error {
 			return err
 		}
 	}
-	dom := NewDomTree(f)
+	dom := newDomTree(f, preds)
 	for _, b := range f.Blocks {
 		if !dom.Reachable(b) {
 			continue // unreachable code is legal, just not checked for dominance
@@ -172,16 +169,15 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 				return fmt.Errorf("phi incoming type %s != %s", v.Type(), in.Ty)
 			}
 		}
-		// Incoming blocks must be exactly the predecessors.
-		want := append([]*Block(nil), preds[b]...)
-		got := append([]*Block(nil), in.Blocks...)
-		if len(want) != len(got) {
-			return fmt.Errorf("phi has %d incomings, block has %d preds", len(got), len(want))
+		// Incoming blocks must be exactly the predecessors, as
+		// multisets. Counting in place allocates nothing, which matters
+		// because every artifact load verifies.
+		want := preds[b]
+		if len(want) != len(in.Blocks) {
+			return fmt.Errorf("phi has %d incomings, block has %d preds", len(in.Blocks), len(want))
 		}
-		sortBlocks(want)
-		sortBlocks(got)
-		for i := range want {
-			if want[i] != got[i] {
+		for _, p := range want {
+			if countBlock(want, p) != countBlock(in.Blocks, p) {
 				return fmt.Errorf("phi incoming blocks do not match predecessors")
 			}
 		}
@@ -248,6 +244,12 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 	return nil
 }
 
-func sortBlocks(bs []*Block) {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].BName < bs[j].BName })
+func countBlock(bs []*Block, b *Block) int {
+	n := 0
+	for _, x := range bs {
+		if x == b {
+			n++
+		}
+	}
+	return n
 }

@@ -12,11 +12,15 @@ import (
 // parts of a compiled Program — the frozen module, the compile
 // configuration that shaped its plans, and the baked Seed data image —
 // flattened into bytes and back. Exec funcs and superblock templates
-// are Go closures and cannot travel; DecodeArtifact re-plans them from
-// the decoded module, which is cheap next to a cold pipeline compile
-// (no workload build, no vectorizer pipeline, no Seed execution, and —
-// because callers guard artifacts with an integrity checksum and the
-// encoder only ever sees verified modules — no re-verification).
+// are Go closures and cannot travel; DecodeArtifact verifies and
+// re-plans them from the decoded module, which is cheap next to a cold
+// pipeline compile (no workload build, no vectorizer pipeline, no Seed
+// execution).
+//
+// The data image is most of an artifact's bytes, so it is never copied
+// on the way through: EncodeArtifactParts hands it out as a separate
+// part for the caller to write after the head, and DecodeArtifact keeps
+// it as a subslice of its input.
 //
 // The payload is versioned independently of the codegen scheme: the
 // codegen tag lives in the caller's cache key (a plan change makes old
@@ -30,44 +34,64 @@ const ArtifactVersion = 1
 
 // EncodeArtifact serializes the program's stable parts: the module,
 // the compile configuration (superblock flag and hot-function
-// restriction), and the data image when one was baked.
+// restriction), and the data image when one was baked. The bytes are
+// EncodeArtifactParts' head followed by its image.
 func EncodeArtifact(p *Program) ([]byte, error) {
+	head, img, err := EncodeArtifactParts(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(head)+len(img))
+	return append(append(out, head...), img...), nil
+}
+
+// EncodeArtifactParts serializes the program like EncodeArtifact but
+// returns the artifact in two parts whose concatenation is
+// EncodeArtifact's output: a small head (version, compile
+// configuration, module, image length) and the data image itself. The
+// image is the program's own buffer, not a copy; callers write it out
+// (for example as the second part of store.Save) and must not modify it.
+func EncodeArtifactParts(p *Program) (head, image []byte, err error) {
 	if p == nil || p.mod == nil {
-		return nil, fmt.Errorf("vm: cannot encode a nil program")
+		return nil, nil, fmt.Errorf("vm: cannot encode a nil program")
 	}
 	modBytes := ir.EncodeModule(p.mod)
-	out := make([]byte, 0, len(modBytes)+len(p.image)+64)
-	out = append(out, ArtifactVersion)
+	head = make([]byte, 0, len(modBytes)+64)
+	head = append(head, ArtifactVersion)
 	if p.superblocks {
-		out = append(out, 1)
+		head = append(head, 1)
 	} else {
-		out = append(out, 0)
+		head = append(head, 0)
 	}
 	// Hot-function restriction: 0 = unrestricted (nil set), 1 = the
 	// listed functions only (possibly none, meaning disabled).
 	if p.hotFuncs == nil {
-		out = append(out, 0)
+		head = append(head, 0)
 	} else {
-		out = append(out, 1)
-		out = binary.AppendUvarint(out, uint64(len(p.hotFuncs)))
+		head = append(head, 1)
+		head = binary.AppendUvarint(head, uint64(len(p.hotFuncs)))
 		for _, name := range p.hotFuncs {
-			out = binary.AppendUvarint(out, uint64(len(name)))
-			out = append(out, name...)
+			head = binary.AppendUvarint(head, uint64(len(name)))
+			head = append(head, name...)
 		}
 	}
-	out = binary.AppendUvarint(out, uint64(len(modBytes)))
-	out = append(out, modBytes...)
-	out = binary.AppendUvarint(out, uint64(len(p.image)))
-	out = append(out, p.image...)
-	return out, nil
+	head = binary.AppendUvarint(head, uint64(len(modBytes)))
+	head = append(head, modBytes...)
+	head = binary.AppendUvarint(head, uint64(len(p.image)))
+	return head, p.image, nil
 }
 
 // DecodeArtifact reconstructs a Program from EncodeArtifact bytes:
-// the module is decoded and re-planned (exec funcs, superblock
-// templates and loop kernels are re-bound under the serialized compile
-// configuration), and the data image is reinstalled. The input must be
-// integrity-checked by the caller; any structural mismatch is returned
-// as an error, never a panic.
+// the module is decoded, verified and re-planned (exec funcs,
+// superblock templates and loop kernels are re-bound under the
+// serialized compile configuration), and the data image is reinstalled.
+// Callers should integrity-check the input (the store's envelope does);
+// any structural mismatch, including a module that decodes but does
+// not verify, is returned as an error, never a panic.
+//
+// The returned Program retains data: its data image is a subslice of
+// the input, not a copy. Callers hand over the buffer and must not
+// modify it afterwards.
 func DecodeArtifact(data []byte) (*Program, error) {
 	pos := 0
 	u8 := func(what string) (byte, error) {
@@ -160,9 +184,7 @@ func DecodeArtifact(data []byte) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-plan without re-verifying: the encoder only sees modules that
-	// already passed ir.Verify, and the caller checksummed the bytes.
-	p, err := compileModule(mod, cfg, false)
+	p, err := compileModule(mod, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("vm: re-planning artifact: %w", err)
 	}
@@ -172,7 +194,7 @@ func DecodeArtifact(data []byte) (*Program, error) {
 			return nil, fmt.Errorf("vm: artifact image is %d bytes, program data region is %d",
 				len(img), p.DataSize())
 		}
-		p.image = append([]byte(nil), img...)
+		p.image = img
 	}
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mperf/internal/ir"
 	"mperf/internal/platform"
 )
 
@@ -164,5 +165,47 @@ func TestArtifactDecodeRejects(t *testing.T) {
 				t.Fatalf("truncation to %d bytes accepted", cut)
 			}
 		}()
+	}
+}
+
+// TestArtifactPartsConcatenate pins that the two-part encoding is the
+// single-buffer encoding split in two, and that its image part is the
+// program's own buffer rather than a copy.
+func TestArtifactPartsConcatenate(t *testing.T) {
+	prog := compileSum(t, 256)
+	data, err := EncodeArtifact(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, img, err := EncodeArtifactParts(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(head)+string(img) != string(data) {
+		t.Fatal("head + image differs from EncodeArtifact")
+	}
+	if len(img) == 0 || &img[0] != &prog.image[0] {
+		t.Fatal("image part is not the program's data image")
+	}
+	if loaded, err := DecodeArtifact(data); err != nil || &loaded.image[0] != &data[len(head)] {
+		t.Fatalf("decoded image does not alias the input (err %v)", err)
+	}
+}
+
+// TestArtifactDecodeVerifies pins that a module which decodes cleanly
+// but is not well-formed SSA is rejected: the envelope checksum only
+// vouches for the bytes, so the decoder checks the structure itself.
+func TestArtifactDecodeVerifies(t *testing.T) {
+	mod := ir.NewModule("t")
+	f := mod.NewFunc("f", ir.Void)
+	b := ir.NewBuilder(f)
+	b.NewBlock("entry")
+	b.Add(ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2)) // no terminator
+	data, err := EncodeArtifact(&Program{mod: mod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeArtifact(data); err == nil || !strings.Contains(err.Error(), "does not verify") {
+		t.Fatalf("want a verify error, got %v", err)
 	}
 }

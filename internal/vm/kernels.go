@@ -121,7 +121,7 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 		return nil
 	}
 
-	rec := &loopRecipe{exit: term.targets[1], predIdx: int32(bp.index)}
+	rec := &loopRecipe{exit: term.targets[1], predIdx: int32(bp.index), ops: make([]kOp, 0, len(bp.steps))}
 	addVecTy := func(ty ir.Type) {
 		for _, t := range rec.vecTys {
 			if t == ty {

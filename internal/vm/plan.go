@@ -183,7 +183,13 @@ func isIntrinsic(name string) bool {
 func (p *planner) planFunc(f *ir.Func) error {
 	fp := p.plans[f]
 
-	regs := make(map[ir.Value]int32)
+	// Size every table and slice up front: planning runs on each warm
+	// artifact load, where growth copies are a visible share.
+	numValues := len(f.Params)
+	for _, b := range f.Blocks {
+		numValues += len(b.Instrs)
+	}
+	regs := make(map[ir.Value]int32, numValues)
 	next := int32(0)
 	for _, prm := range f.Params {
 		regs[prm] = next
@@ -199,7 +205,8 @@ func (p *planner) planFunc(f *ir.Func) error {
 	}
 	fp.numRegs = int(next)
 
-	blockIdx := make(map[*ir.Block]int)
+	blockIdx := make(map[*ir.Block]int, len(f.Blocks))
+	fp.blocks = make([]*blockPlan, 0, len(f.Blocks))
 	for i, b := range f.Blocks {
 		bp := &blockPlan{block: b, index: i, pc: fp.base + uint64(i+1)*blockAddrStride}
 		fp.blocks = append(fp.blocks, bp)
@@ -232,6 +239,7 @@ func (p *planner) planFunc(f *ir.Func) error {
 	for bi, b := range f.Blocks {
 		bp := fp.blocks[bi]
 		bp.movesFrom = make([][]phiMove, len(f.Blocks))
+		bp.steps = make([]step, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi {
 				// Phis execute as parallel copies on the incoming edge.
@@ -251,6 +259,9 @@ func (p *planner) planFunc(f *ir.Func) error {
 			st := step{in: in, dst: -1, blockIdx: int32(bi), blockPC: bp.pc}
 			if in.Ty != ir.Void {
 				st.dst = regs[in]
+			}
+			if len(in.Args) > 0 {
+				st.args = make([]operand, 0, len(in.Args))
 			}
 			for _, a := range in.Args {
 				op, err := resolve(a)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -68,19 +69,16 @@ func Compile(mod *ir.Module, opts ...CompileOption) (*Program, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return compileModule(mod, cfg, true)
+	return compileModule(mod, cfg)
 }
 
 // compileModule is the shared planning path behind Compile and
-// DecodeArtifact. verify gates the structural SSA check: fresh modules
-// always verify, while checksummed artifacts decode from bytes the
-// encoder produced only for already-verified modules, so re-planning
-// them skips straight to layout and plan binding.
-func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, error) {
-	if verify {
-		if err := ir.Verify(mod); err != nil {
-			return nil, fmt.Errorf("vm: module does not verify: %w", err)
-		}
+// DecodeArtifact. Every module passes the structural SSA check first,
+// decoded ones included: a checksum proves the bytes are the ones that
+// were written, not that they describe well-formed IR.
+func compileModule(mod *ir.Module, cfg compileConfig) (*Program, error) {
+	if err := ir.Verify(mod); err != nil {
+		return nil, fmt.Errorf("vm: module does not verify: %w", err)
 	}
 	mod.Freeze()
 	p := &Program{
@@ -144,6 +142,10 @@ func (p *Program) DataSize() int { return int(p.stackBase - memBase) }
 // Call it once, before the program is shared across goroutines; it is
 // how a deterministic Seed is baked into the artifact so that warm
 // instantiation is a plain memory copy.
+//
+// The program adopts img without copying it: the caller hands over a
+// fresh buffer (normally straight from SnapshotData) and must not
+// modify it afterwards.
 func (p *Program) SetDataImage(img []byte) error {
 	if len(img) != p.DataSize() {
 		return fmt.Errorf("vm: data image is %d bytes, program data region is %d", len(img), p.DataSize())
@@ -151,7 +153,7 @@ func (p *Program) SetDataImage(img []byte) error {
 	if p.image != nil {
 		return fmt.Errorf("vm: program already has a data image")
 	}
-	p.image = append([]byte(nil), img...)
+	p.image = img
 	return nil
 }
 
@@ -207,9 +209,8 @@ func (m *Machine) Release() {
 }
 
 // SnapshotData copies out the machine's global data region — the bytes
-// a Seed function wrote — in the format SetDataImage accepts.
+// a Seed function wrote — into a fresh buffer that SetDataImage can
+// adopt.
 func (m *Machine) SnapshotData() []byte {
-	out := make([]byte, m.prog.stackBase-memBase)
-	copy(out, m.mem[memBase:m.prog.stackBase])
-	return out
+	return bytes.Clone(m.mem[memBase:m.prog.stackBase])
 }

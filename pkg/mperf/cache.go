@@ -240,7 +240,9 @@ func (c *ProgramCache) Get(key ProgramKey, build func() (*vm.Program, error)) (p
 	// This goroutine owns the singleflight slot for key. Try the disk
 	// tier first; any failure there — missing entry, corruption, a
 	// foreign format version, a decode error — falls through to a
-	// silent recompile, which then refreshes the disk entry.
+	// silent recompile, which then refreshes the disk entry. The loaded
+	// payload is a buffer nobody else holds, so the decoded program may
+	// keep its data image in place.
 	src = SourceCompiled
 	if st != nil {
 		if payload, lerr := st.Load(key.String()); lerr == nil {
@@ -253,9 +255,10 @@ func (c *ProgramCache) Get(key ProgramKey, build func() (*vm.Program, error)) (p
 		e.prog, e.err = build()
 		if e.err == nil && st != nil {
 			// Write-through is best-effort: a read-only or full disk
-			// costs persistence, never correctness.
-			if payload, eerr := vm.EncodeArtifact(e.prog); eerr == nil {
-				_ = st.Save(key.String(), payload)
+			// costs persistence, never correctness. The data image goes
+			// to disk as its own part, straight from the program.
+			if head, img, eerr := vm.EncodeArtifactParts(e.prog); eerr == nil {
+				_ = st.Save(key.String(), head, img)
 			}
 		}
 	}

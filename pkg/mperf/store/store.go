@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net"
 	"os"
 	"path/filepath"
 )
@@ -70,33 +71,45 @@ func (s *Store) path(key string) string {
 }
 
 // Save writes the payload for key, atomically replacing any existing
-// entry. The temp file is created in the destination directory so the
-// rename never crosses filesystems.
-func (s *Store) Save(key string, payload []byte) error {
+// entry. The payload is the concatenation of parts; they are
+// checksummed and written one after another without being joined, so
+// a large part (a program's data image) goes to disk without an extra
+// copy. Save(k, a, b) writes the same file as Save(k, append(a, b...)).
+// The temp file is created in the destination directory so the rename
+// never crosses filesystems.
+func (s *Store) Save(key string, parts ...[]byte) error {
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 
-	buf := make([]byte, 0, len(magic)+1+4+8+len(key)+len(payload)+16)
-	buf = append(buf, magic...)
-	buf = append(buf, formatVersion)
-	buf = append(buf, 0, 0, 0, 0) // checksum placeholder, patched below
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
+	payLen := 0
+	for _, p := range parts {
+		payLen += len(p)
+	}
+	head := make([]byte, 0, len(magic)+1+4+2*binary.MaxVarintLen64+len(key))
+	head = append(head, magic...)
+	head = append(head, formatVersion)
+	head = append(head, 0, 0, 0, 0) // checksum placeholder, patched below
+	head = binary.AppendUvarint(head, uint64(len(key)))
+	head = append(head, key...)
+	head = binary.AppendUvarint(head, uint64(payLen))
 	// The checksum covers everything after its own field, so a flipped
 	// bit anywhere in key or payload fails verification.
 	crcOff := len(magic) + 1
-	binary.LittleEndian.PutUint32(buf[crcOff:], crc32.Checksum(buf[crcOff+4:], crcTable))
+	sum := crc32.Checksum(head[crcOff+4:], crcTable)
+	for _, p := range parts {
+		sum = crc32.Update(sum, crcTable, p)
+	}
+	binary.LittleEndian.PutUint32(head[crcOff:], sum)
 
 	tmp, err := os.CreateTemp(filepath.Dir(dst), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
+	bufs := append(net.Buffers{head}, parts...)
+	if _, err := bufs.WriteTo(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)

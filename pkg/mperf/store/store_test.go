@@ -90,14 +90,62 @@ func TestStorePersistsAcrossOpens(t *testing.T) {
 	}
 }
 
+// TestStoreMultiPartSaveIsByteIdentical pins that Save's parts are an
+// encoding detail: a payload saved in pieces leaves exactly the file
+// the joined payload does, and loads back joined.
+func TestStoreMultiPartSaveIsByteIdentical(t *testing.T) {
+	a := []byte("artifact head: version, config, module")
+	b := bytes.Repeat([]byte{0x5a, 0xa5}, 300)
+	joined := append(append([]byte(nil), a...), b...)
+	cases := map[string][][]byte{
+		"two parts":        {a, b},
+		"with empty parts": {nil, a, {}, b, nil},
+	}
+
+	one := openStore(t)
+	if err := one.Save("k", joined); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(entryFile(t, one))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, parts := range cases {
+		s := openStore(t)
+		if err := s.Save("k", parts...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(entryFile(t, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: entry file differs from the single-part save", name)
+		}
+		if loaded, err := s.Load("k"); err != nil || !bytes.Equal(loaded, joined) {
+			t.Errorf("%s: Load = %q, %v; want the joined payload", name, loaded, err)
+		}
+	}
+}
+
 // TestStoreRejectsCorruption pins that every single-byte corruption
 // and every truncation of an entry file is detected — Load returns an
-// error (so the cache recompiles) and never bad bytes.
+// error (so the cache recompiles) and never bad bytes — whether the
+// payload was saved whole or in parts.
 func TestStoreRejectsCorruption(t *testing.T) {
+	head := []byte("the artifact payload, ")
+	tail := []byte("long enough to be interesting")
+	t.Run("one part", func(t *testing.T) {
+		checkRejectsCorruption(t, append(append([]byte(nil), head...), tail...))
+	})
+	t.Run("two parts", func(t *testing.T) { checkRejectsCorruption(t, head, tail) })
+}
+
+func checkRejectsCorruption(t *testing.T, parts ...[]byte) {
 	s := openStore(t)
 	const key = "corruptible"
-	payload := []byte("the artifact payload, long enough to be interesting")
-	if err := s.Save(key, payload); err != nil {
+	payload := bytes.Join(parts, nil)
+	if err := s.Save(key, parts...); err != nil {
 		t.Fatal(err)
 	}
 	file := entryFile(t, s)
