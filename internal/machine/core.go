@@ -5,9 +5,11 @@ import (
 	"mperf/internal/mem"
 )
 
-// DeltaBatch carries the architectural signal increments produced by
-// one micro-op. It is reused across calls to avoid allocation on the
-// hot path; sinks must not retain it.
+// DeltaBatch carries the architectural signal increments accumulated
+// since the core's last flush: one micro-op's while a sampler watches
+// event signals, otherwise anything from a region to a whole run. It
+// is reused across calls to avoid allocation on the hot path; sinks
+// must not retain it.
 type DeltaBatch struct {
 	N   int
 	Sig [24]isa.Signal
@@ -41,12 +43,14 @@ func (b *DeltaBatch) AddWatched(mask uint64, s isa.Signal, v uint64) {
 type EventSink interface {
 	Apply(b *DeltaBatch)
 	// WatchMask reports which signals currently have a consumer, as a
-	// bitmask indexed by isa.Signal. A zero mask means the sink is idle:
-	// the core then takes a fused fast path that skips delta bookkeeping
-	// and batch construction entirely, so the sink must not rely on
-	// seeing every batch. With a non-zero mask the core still skips
-	// individual signals outside the mask. Statistics and timing are
-	// unaffected either way.
+	// bitmask indexed by isa.Signal. Signals outside the mask are never
+	// delivered, and a zero mask means the sink receives nothing. The
+	// core charges every uop on its quiet path and rebuilds the watched
+	// deltas from its Stats at flush points (see FlushEvents), so a
+	// batch may cover many uops: only a sink that reports an armed
+	// sampler (see SamplingSink) while watching signals other than
+	// cycles, instret and the mode cycles sees one batch per uop.
+	// Statistics and timing are unaffected either way.
 	WatchMask() uint64
 }
 
@@ -63,6 +67,8 @@ type Stats struct {
 	Stores      uint64
 	Branches    uint64
 	Mispredicts uint64
+	FPOps       uint64 // scalar floating-point uops
+	VecFPOps    uint64 // vector floating-point uops
 	Flops       uint64
 	SpecFlops   uint64 // FLOPs issued including miss-replayed work
 	IntOps      uint64
@@ -122,20 +128,22 @@ type Core struct {
 	sinkMaskValid bool
 	// sinkSampling caches whether the sink has an armed overflow
 	// sampler (see SamplingSink); refreshed with sinkMask. While false,
-	// event delivery is purely additive and region execution may
-	// coalesce block-edge flushes.
+	// event delivery is purely additive, so every watched signal is
+	// batched.
 	sinkSampling bool
 
-	// Flush marks for batched time-signal delivery. While only
-	// cycle/instret/mode-cycle counters are watched, uops run through
-	// the fused quiet path and FlushEvents reconstructs the deltas
-	// since the last flush from these marks at block boundaries.
-	// Sample PCs are block-granular anyway, so batching adds at most
-	// one block of skid — far below any sampling period — while total
-	// counts stay exact.
+	// Flush marks for batched delivery: FlushEvents reconstructs the
+	// deltas since the last flush from them. The time marks advance at
+	// every flush. flushStats, the mark for every other signal, only
+	// advances while such a signal is watched, and RefreshSinkMask
+	// re-baselines it when one starts being watched, so history is
+	// never replayed. Sample PCs are block-granular anyway, so batching
+	// adds at most one block of skid — far below any sampling period —
+	// while total counts stay exact.
 	flushCycles     uint64
-	flushInstretFx  uint64
+	flushInstret    uint64
 	timerSinceFlush uint64
+	flushStats      Stats
 
 	batch DeltaBatch
 	stats Stats
@@ -218,16 +226,20 @@ func (c *Core) SetSink(s EventSink) {
 
 // RefreshSinkMask re-reads the sink's watch mask. The interpreter
 // calls this at block boundaries; anyone reconfiguring counters while
-// driving Exec directly should call it before the next uop.
+// driving Exec directly should call it before the next uop. When the
+// mask starts watching a signal other than cycles, instret and the
+// mode cycles, the Stats flush mark is re-baselined so FlushEvents
+// never delivers activity from before the signal was watched.
 func (c *Core) RefreshSinkMask() {
+	wasCounting := c.sinkMask&^timeSigMask != 0
 	c.sinkMask = 0
 	c.sinkSampling = false
 	if c.sink != nil {
 		c.sinkMask = c.sink.WatchMask()
 		if c.sinkMask != 0 {
 			// Sinks that cannot report their sampling state are treated
-			// as sampling whenever they watch anything: block-granular
-			// delivery is always correct, just not coalescible.
+			// as sampling whenever they watch anything: per-uop delivery
+			// is always correct, just not batchable.
 			if s, ok := c.sink.(SamplingSink); ok {
 				c.sinkSampling = s.SamplingActive()
 			} else {
@@ -235,36 +247,50 @@ func (c *Core) RefreshSinkMask() {
 			}
 		}
 	}
+	if !wasCounting && c.sinkMask&^timeSigMask != 0 {
+		c.markStats()
+	}
 	c.sinkMaskValid = true
 }
 
-// FlushEvents delivers the time-signal deltas accumulated since the
-// last flush (reconstructed from the cycle/instret flush marks) to the
-// sink. Sampling overflow fires here, so callers must flush before
-// reading counters or changing the sink configuration. The marks are
-// advanced unconditionally, so enabling counters mid-session never
-// replays history.
+// FlushEvents delivers the watched deltas accumulated since the last
+// flush to the sink as one batch, rebuilt from the flush marks: first
+// the time signals (cycles, instret, the mode cycles, with timer
+// handler time charged to S-mode), then every other watched signal
+// from the Stats mark, in a fixed order. Sampling overflow fires here,
+// so callers must flush before reading counters or changing the sink
+// configuration. The time marks advance unconditionally, so enabling
+// counters mid-session never replays history. A uop-by-uop flush
+// produces exactly the batches a per-uop observer would see.
 func (c *Core) FlushEvents() {
 	cycleDelta := c.cycles - c.flushCycles
-	instretDelta := (c.instretFx - c.flushInstretFx) >> 8
+	instret := c.instretFx >> 8
+	// The instret mark holds whole instructions, carrying the
+	// fixed-point remainder into the next window, so fractional
+	// expansion factors (x86) never leak an instruction per flush.
+	instretDelta := instret - c.flushInstret
 	timerCycles := c.timerSinceFlush
 	c.flushCycles = c.cycles
-	// Advance the instret mark by whole instructions only, carrying the
-	// fixed-point remainder into the next window — otherwise fractional
-	// expansion factors (x86) leak up to one instruction per flush.
-	c.flushInstretFx += instretDelta << 8
+	c.flushInstret = instret
 	c.timerSinceFlush = 0
-	if cycleDelta == 0 && instretDelta == 0 {
-		return
-	}
 	mask := c.sinkMask
 	if mask == 0 || c.sink == nil {
+		return
+	}
+	counting := mask&^timeSigMask != 0
+	// A window can retire no whole cycle or instruction yet still hold
+	// loads or branches (fractional issue and expansion), so only a
+	// time-only mask may stop here.
+	if !counting && cycleDelta == 0 && instretDelta == 0 {
 		return
 	}
 	b := &c.batch
 	b.N = 0
 	b.AddWatched(mask, isa.SigCycle, cycleDelta)
 	b.AddWatched(mask, isa.SigInstret, instretDelta)
+	// Mode-cycle signals come after the base counters so that a
+	// sampling leader bound to one of them observes fully-updated
+	// cycles/instret values in its group snapshot.
 	userCycles := cycleDelta - timerCycles
 	switch c.priv {
 	case isa.PrivU:
@@ -275,9 +301,40 @@ func (c *Core) FlushEvents() {
 		b.AddWatched(mask, isa.SigMModeCycle, userCycles)
 	}
 	b.AddWatched(mask, isa.SigSModeCycle, timerCycles)
+	if counting {
+		now, was := &c.stats, &c.flushStats
+		loads, stores := now.Loads-was.Loads, now.Stores-was.Stores
+		l1Misses := now.L1DMisses - was.L1DMisses
+		b.AddWatched(mask, isa.SigLoad, loads)
+		b.AddWatched(mask, isa.SigStore, stores)
+		b.AddWatched(mask, isa.SigL1DAccess, loads+stores)
+		b.AddWatched(mask, isa.SigBranch, c.bp.Branches-was.Branches)
+		b.AddWatched(mask, isa.SigBranchMiss, c.bp.Mispredicts-was.Mispredicts)
+		b.AddWatched(mask, isa.SigL1DMiss, l1Misses)
+		b.AddWatched(mask, isa.SigL2Access, l1Misses)
+		b.AddWatched(mask, isa.SigL2Miss, now.L2Misses-was.L2Misses)
+		b.AddWatched(mask, isa.SigStall, now.StallCycles-was.StallCycles)
+		b.AddWatched(mask, isa.SigDRAMBytes, now.DRAMBytes-was.DRAMBytes)
+		b.AddWatched(mask, isa.SigL1DBytes, now.L1DBytes-was.L1DBytes)
+		b.AddWatched(mask, isa.SigL2Bytes, now.L2Bytes-was.L2Bytes)
+		b.AddWatched(mask, isa.SigFPOp, now.FPOps-was.FPOps)
+		b.AddWatched(mask, isa.SigVecFPOp, now.VecFPOps-was.VecFPOps)
+		b.AddWatched(mask, isa.SigFPFlop, now.Flops-was.Flops)
+		b.AddWatched(mask, isa.SigSpecFlop, now.SpecFlops-was.SpecFlops)
+		b.AddWatched(mask, isa.SigIntOp, now.IntOps-was.IntOps)
+		c.markStats()
+	}
 	if b.N > 0 {
 		c.sink.Apply(b)
 	}
+}
+
+// markStats advances the Stats flush mark to the current statistics.
+// Cycles and instret have their own marks; the branch counts live in
+// the predictor.
+func (c *Core) markStats() {
+	c.flushStats = c.stats
+	c.flushStats.Branches, c.flushStats.Mispredicts = c.bp.Branches, c.bp.Mispredicts
 }
 
 // BlockBoundary marks a basic-block transition: batched deltas are
@@ -307,78 +364,43 @@ func (c *Core) Reset() {
 	c.memh.Reset()
 	c.stats = Stats{}
 	c.sinkMaskValid = false
-	c.flushCycles, c.flushInstretFx, c.timerSinceFlush = 0, 0, 0
+	c.flushCycles, c.flushInstret, c.timerSinceFlush = 0, 0, 0
+	c.flushStats = Stats{}
 	c.nextTimer = 0
 	if c.cfg.TimerIntervalCycles > 0 {
 		c.nextTimer = c.cfg.TimerIntervalCycles
 	}
 }
 
-// Exec executes one micro-op, advancing time and emitting signals.
+// Exec executes one micro-op whose register slots are already
+// salted, advancing time and accumulating statistics. Its signals
+// reach the sink at the next FlushEvents, except while the sink has
+// an armed sampler and watches a signal other than cycles, instret
+// and the mode cycles: then Exec flushes after the uop, so an
+// overflow on an event counter fires at the uop that crossed it.
 func (c *Core) Exec(u *Uop) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	mask := c.sinkMask
-	if mask&^timeSigMask == 0 {
-		// Idle, or only cycle/instret/mode-cycle counters are watched
-		// (the X60 sampling workaround): those deltas are running sums,
-		// so the fused quiet path charges the uop and FlushEvents
-		// reconstructs the batch from the flush marks at the next block
-		// boundary.
-		c.execQuiet(u)
-		return
+	c.execQuiet(u)
+	if c.sinkSampling && c.sinkMask&^timeSigMask != 0 {
+		c.FlushEvents()
 	}
-	startCycles := c.cycles
-	startInstret := c.instretFx >> 8
-	startStalls := c.stats.StallCycles
-
-	var access mem.AccessResult
-	var mispredict bool
-
-	if c.cfg.Kind == InOrder {
-		access, mispredict = c.execInOrder(u)
-	} else {
-		access, mispredict = c.execOutOfOrder(u)
-	}
-
-	// Retired-instruction accounting via per-class expansion.
-	c.instretFx += uint64(c.cfg.expansion(u.Class))
-	c.stats.Uops++
-
-	// OS timer tick: periodically spend handler time in S-mode.
-	var timerCycles uint64
-	if c.nextTimer != 0 && c.cycles >= c.nextTimer {
-		timerCycles = c.cfg.TimerHandlerCycles
-		c.cycles += timerCycles
-		// The handler retires roughly one instruction per cycle.
-		c.instretFx += timerCycles << 8
-		c.nextTimer += c.cfg.TimerIntervalCycles
-		c.stats.TimerTicks++
-	}
-
-	c.emit(u, mask, startCycles, startInstret, startStalls, access, mispredict, timerCycles)
-	// Per-uop delivery keeps the flush marks current so a later
-	// time-only (batched) phase starts from a clean window.
-	c.flushCycles = c.cycles
-	c.flushInstretFx = c.instretFx
-	c.timerSinceFlush = 0
 }
 
 // timeSigMask covers the pure time/instruction signals: the set the
 // X60 sampling workaround watches (mode-cycle leader plus cycles and
-// instret members). When nothing outside it is watched, uops take the
-// quiet path and FlushEvents delivers the batched deltas.
+// instret members). Their deltas come from the cycle/instret marks;
+// every other signal's come from the Stats mark.
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
 
-// execQuiet is the fused fast path taken while no sink consumer is
-// active: it charges time and accumulates statistics exactly like the
-// full path, but skips the delta snapshots and DeltaBatch construction
-// that only matter when counters or samplers are observing the stream.
-// The pipeline models are inlined (rather than calling execInOrder /
-// execOutOfOrder) so non-memory uops never touch an AccessResult;
-// TestQuietPathMatchesObserved pins the equivalence.
+// execQuiet charges one uop and accumulates its statistics; the
+// watched deltas are rebuilt from those statistics at the next
+// FlushEvents. It is the per-uop twin of the region loops in region.go
+// (a one-uop region would cost a copy and a loop per uop on the
+// per-instruction path); TestRegionMatchesExec pins the two together
+// and TestExecMatchesReference pins both to the reference model.
 func (c *Core) execQuiet(u *Uop) {
 	if c.cfg.Kind == InOrder {
 		c.execQuietInOrder(u)
@@ -410,8 +432,9 @@ func (c *Core) execQuiet(u *Uop) {
 	c.stats.IntOps += uint64(u.IntOps)
 }
 
-// execQuietInOrder mirrors execInOrder with the memory/branch event
-// bookkeeping folded into the class switch.
+// execQuietInOrder charges one uop on the in-order model: register
+// scoreboard stalls, dual issue, the store buffer and mispredict
+// penalties.
 func (c *Core) execQuietInOrder(u *Uop) {
 	earliest := c.cycles
 	if u.Src1 >= 0 {
@@ -472,6 +495,10 @@ func (c *Core) execQuietInOrder(u *Uop) {
 			c.cycles += c.cfg.MispredictPenalty
 			c.issued = 0
 		}
+	case OpFPAdd, OpFPMul, OpFMA, OpFPDiv:
+		c.stats.FPOps++
+	case OpVecALU, OpVecFMA:
+		c.stats.VecFPOps++
 	}
 
 	c.issued++
@@ -480,7 +507,10 @@ func (c *Core) execQuietInOrder(u *Uop) {
 	}
 }
 
-// execQuietOutOfOrder mirrors execOutOfOrder the same way.
+// execQuietOutOfOrder charges one uop on the analytic out-of-order
+// model: issue bandwidth plus the penalties the window cannot hide
+// (exposed miss latency over MLP, a full store buffer, long-latency
+// divides, mispredicts).
 func (c *Core) execQuietOutOfOrder(u *Uop) {
 	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
 	if c.fracCycle >= 256 {
@@ -514,7 +544,10 @@ func (c *Core) execQuietOutOfOrder(u *Uop) {
 		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
 		c.chargeQuietAccess(access)
 		c.stats.Stores++
-	case OpIntDiv, OpFPDiv:
+	case OpFPDiv:
+		c.stats.FPOps++
+		fallthrough
+	case OpIntDiv:
 		pen := c.cfg.Latency[u.Class] / 2
 		c.cycles += pen
 		c.stats.StallCycles += pen
@@ -528,11 +561,15 @@ func (c *Core) execQuietOutOfOrder(u *Uop) {
 			c.cycles += c.cfg.MispredictPenalty
 			c.stats.StallCycles += c.cfg.MispredictPenalty
 		}
+	case OpFPAdd, OpFPMul, OpFMA:
+		c.stats.FPOps++
+	case OpVecALU, OpVecFMA:
+		c.stats.VecFPOps++
 	}
 }
 
 // chargeQuietAccess folds a memory access's event counts into the
-// statistics (the quiet-path counterpart of emit's access section).
+// statistics.
 func (c *Core) chargeQuietAccess(access mem.AccessResult) {
 	if access.L1Miss {
 		c.stats.L1DMisses++
@@ -543,218 +580,4 @@ func (c *Core) chargeQuietAccess(access mem.AccessResult) {
 	c.stats.L1DBytes += access.L1Bytes
 	c.stats.L2Bytes += access.L2Bytes
 	c.stats.DRAMBytes += access.DRAMBytes
-}
-
-// execInOrder charges time through the register scoreboard.
-func (c *Core) execInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
-	// Stall until all sources are ready.
-	earliest := c.cycles
-	if u.Src1 >= 0 {
-		if r := c.ready[uint32(u.Src1)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src2 >= 0 {
-		if r := c.ready[uint32(u.Src2)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src3 >= 0 {
-		if r := c.ready[uint32(u.Src3)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if earliest > c.cycles {
-		c.stats.StallCycles += earliest - c.cycles
-		c.cycles = earliest
-		c.issued = 0
-	}
-	if c.issued >= c.cfg.IssueWidth {
-		c.cycles++
-		c.issued = 0
-	}
-
-	lat := c.cfg.Latency[u.Class]
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		lat += access.Latency
-	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		// Stores retire through the store buffer at posted-write cost
-		// (bandwidth, not round-trip latency); the pipeline stalls only
-		// when the buffer is full and the oldest entry has not drained.
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			c.issued = 0
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
-	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
-	}
-	if mispredict {
-		c.cycles += c.cfg.MispredictPenalty
-		c.issued = 0
-	}
-
-	c.issued++
-	if u.Dst >= 0 {
-		c.ready[uint32(u.Dst)&(scoreboardSize-1)] = c.cycles + lat
-	}
-	return access, mispredict
-}
-
-// execOutOfOrder charges time through the analytic model: issue
-// bandwidth plus un-hidable penalties.
-func (c *Core) execOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
-	// Issue bandwidth: 1/width cycles per uop, in ×256 fixed point.
-	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
-	if c.fracCycle >= 256 {
-		c.cycles += c.fracCycle >> 8
-		c.fracCycle &= 255
-	}
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		if access.L1Miss {
-			// The window overlaps misses; expose latency/MLP.
-			pen := access.Latency / uint64(c.cfg.MLP)
-			c.cycles += pen
-			c.stats.StallCycles += pen
-			c.replayFP = 8 // downstream FP uops re-issue (counter overcount)
-		}
-	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			// Store buffer full behind a saturated channel.
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-	case OpIntDiv, OpFPDiv:
-		// Partially pipelined long-latency units.
-		pen := c.cfg.Latency[u.Class] / 2
-		c.cycles += pen
-		c.stats.StallCycles += pen
-	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
-	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
-	}
-	if mispredict {
-		c.cycles += c.cfg.MispredictPenalty
-		c.stats.StallCycles += c.cfg.MispredictPenalty
-	}
-	return access, mispredict
-}
-
-// emit folds the uop's effects into statistics and the event sink.
-// Signals outside the sink's watch mask are skipped at construction.
-func (c *Core) emit(u *Uop, mask uint64, startCycles, startInstret, startStalls uint64,
-	access mem.AccessResult, mispredict bool, timerCycles uint64) {
-
-	cycleDelta := c.cycles - startCycles
-	instretDelta := (c.instretFx >> 8) - startInstret
-	stallDelta := c.stats.StallCycles - startStalls
-
-	flops := uint64(u.Flops)
-	specFlops := flops
-	if flops > 0 && c.replayFP > 0 {
-		specFlops += flops
-		c.replayFP--
-	}
-
-	c.stats.Flops += flops
-	c.stats.SpecFlops += specFlops
-	c.stats.IntOps += uint64(u.IntOps)
-	if access.L1Miss {
-		c.stats.L1DMisses++
-	}
-	if access.L2Miss {
-		c.stats.L2Misses++
-	}
-	c.stats.L1DBytes += access.L1Bytes
-	c.stats.L2Bytes += access.L2Bytes
-	c.stats.DRAMBytes += access.DRAMBytes
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		c.stats.Stores++
-	}
-
-	if c.sink == nil {
-		return
-	}
-	b := &c.batch
-	b.N = 0
-	b.AddWatched(mask, isa.SigCycle, cycleDelta)
-	b.AddWatched(mask, isa.SigInstret, instretDelta)
-	// Mode-cycle signals come after the base counters so that a
-	// sampling leader bound to one of them observes fully-updated
-	// cycles/instret values in its group snapshot.
-	userCycles := cycleDelta - timerCycles
-	switch c.priv {
-	case isa.PrivU:
-		b.AddWatched(mask, isa.SigUModeCycle, userCycles)
-	case isa.PrivS:
-		b.AddWatched(mask, isa.SigSModeCycle, userCycles)
-	case isa.PrivM:
-		b.AddWatched(mask, isa.SigMModeCycle, userCycles)
-	}
-	b.AddWatched(mask, isa.SigSModeCycle, timerCycles)
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		b.AddWatched(mask, isa.SigLoad, 1)
-		b.AddWatched(mask, isa.SigL1DAccess, 1)
-	case OpStore, OpVecStore:
-		b.AddWatched(mask, isa.SigStore, 1)
-		b.AddWatched(mask, isa.SigL1DAccess, 1)
-	case OpBranch, OpIndirect:
-		b.AddWatched(mask, isa.SigBranch, 1)
-		if mispredict {
-			b.AddWatched(mask, isa.SigBranchMiss, 1)
-		}
-	}
-	if access.L1Miss {
-		b.AddWatched(mask, isa.SigL1DMiss, 1)
-		b.AddWatched(mask, isa.SigL2Access, 1)
-	}
-	if access.L2Miss {
-		b.AddWatched(mask, isa.SigL2Miss, 1)
-	}
-	b.AddWatched(mask, isa.SigStall, stallDelta)
-	b.AddWatched(mask, isa.SigDRAMBytes, access.DRAMBytes)
-	b.AddWatched(mask, isa.SigL1DBytes, access.L1Bytes)
-	b.AddWatched(mask, isa.SigL2Bytes, access.L2Bytes)
-	if u.Class.IsFP() {
-		if u.Class.IsVector() {
-			b.AddWatched(mask, isa.SigVecFPOp, 1)
-		} else {
-			b.AddWatched(mask, isa.SigFPOp, 1)
-		}
-	}
-	b.AddWatched(mask, isa.SigFPFlop, flops)
-	b.AddWatched(mask, isa.SigSpecFlop, specFlops)
-	b.AddWatched(mask, isa.SigIntOp, uint64(u.IntOps))
-	if b.N > 0 {
-		c.sink.Apply(b)
-	}
 }

@@ -20,12 +20,15 @@ type RegionDyn struct {
 }
 
 // SamplingSink is optionally implemented by an EventSink that can fire
-// overflow samples (the PMU model). Cores use it to decide whether
-// event delivery must stay block-granular — sample PCs attribute at
-// block edges, so coalescing flushes would move samples — or whether
-// delivery may be batched to region granularity. A sink that does not
-// implement it is conservatively treated as sampling whenever its
-// watch mask is non-zero.
+// overflow samples (the PMU model). While it reports no armed sampler,
+// delivery is pure accumulation: the core batches every watched signal
+// from its Stats at flush points, and ExecRegion flushes once per
+// region. While a sampler is armed, signals other than cycles, instret
+// and the mode cycles are flushed after every uop, so an overflow on
+// an event counter fires at the uop that crossed it; the time signals
+// stay block-granular either way. A sink that does not implement it is
+// conservatively treated as sampling whenever its watch mask is
+// non-zero.
 type SamplingSink interface {
 	// SamplingActive reports whether any overflow sampler is armed on a
 	// running counter.
@@ -35,7 +38,7 @@ type SamplingSink interface {
 // SamplingActive reports whether the sink currently has an armed
 // overflow sampler (cached at the last RefreshSinkMask, like the watch
 // mask). While it is false, event delivery is purely additive, so
-// block-edge flushes may be coalesced without changing any counter.
+// flushes may be coalesced without changing any counter.
 func (c *Core) SamplingActive() bool {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
@@ -50,10 +53,13 @@ func (c *Core) SamplingActive() bool {
 // holds the recorded runtime operands, parallel to tmpl.
 //
 // The charge sequence is identical to calling Exec once per uop with
-// the same operands: when only time signals (or nothing) are watched,
-// the quiet pipeline loops below charge every uop without building
-// batches; otherwise each uop runs through the full observed Exec
-// path, preserving per-uop event delivery and sampling semantics.
+// the same operands. While the sink has an armed sampler and watches a
+// signal other than cycles, instret and the mode cycles, each uop runs
+// through Exec, which flushes after it. Otherwise the charge loops
+// below run the whole region, and when such a signal is watched the
+// region's deltas are flushed before ExecRegion returns, so a counting
+// sink holds the region's events without a caller-side flush. Time
+// signals alone wait for the caller's next FlushEvents.
 func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if len(tmpl) == 0 {
 		return
@@ -61,7 +67,8 @@ func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	if c.sinkMask&^timeSigMask != 0 {
+	counting := c.sinkMask&^timeSigMask != 0
+	if counting && c.sinkSampling {
 		c.regionObserved(tmpl, dyn, salt)
 		return
 	}
@@ -69,6 +76,9 @@ func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 		c.regionQuietInOrder(tmpl, dyn, salt)
 	} else {
 		c.regionQuietOutOfOrder(tmpl, dyn, salt)
+	}
+	if counting {
+		c.FlushEvents()
 	}
 }
 
@@ -137,6 +147,10 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 				c.cycles += c.cfg.MispredictPenalty
 				c.issued = 0
 			}
+		case OpFPAdd, OpFPMul, OpFMA, OpFPDiv:
+			c.stats.FPOps++
+		case OpVecALU, OpVecFMA:
+			c.stats.VecFPOps++
 		}
 
 		c.issued++
@@ -207,7 +221,10 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
 			c.chargeQuietAccess(access)
 			c.stats.Stores++
-		case OpIntDiv, OpFPDiv:
+		case OpFPDiv:
+			c.stats.FPOps++
+			fallthrough
+		case OpIntDiv:
 			pen := c.cfg.Latency[u.Class] / 2
 			c.cycles += pen
 			c.stats.StallCycles += pen
@@ -221,6 +238,10 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 				c.cycles += c.cfg.MispredictPenalty
 				c.stats.StallCycles += c.cfg.MispredictPenalty
 			}
+		case OpFPAdd, OpFPMul, OpFMA:
+			c.stats.FPOps++
+		case OpVecALU, OpVecFMA:
+			c.stats.VecFPOps++
 		}
 
 		c.instretFx += uint64(c.cfg.expansion(u.Class))
@@ -247,11 +268,12 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	}
 }
 
-// regionObserved charges a region while non-time signals are watched:
+// regionObserved charges a region while a sampler is armed and
+// signals other than cycles, instret and the mode cycles are watched:
 // each uop is materialized (template copy, salted slots, dyn overlay)
-// and run through the full per-uop Exec path, so per-uop event
-// delivery — including mid-region overflow sampling on event counters
-// — behaves exactly like the unfused interpreter.
+// and run through Exec, which flushes after it, so mid-region overflow
+// sampling on event counters behaves exactly like the unfused
+// interpreter.
 func (c *Core) regionObserved(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	var u Uop
 	for i := range tmpl {

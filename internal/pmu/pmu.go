@@ -321,9 +321,11 @@ func (p *PMU) WatchMask() uint64 {
 
 // SamplingActive implements machine.SamplingSink: it reports whether
 // any running, uninhibited counter is armed for overflow interrupts.
-// While false, Apply only accumulates, so delta delivery is additive
-// and the core may coalesce block-edge flushes into region-granular
-// batches without changing any counter value.
+// While false, Apply only accumulates, so delta delivery is additive:
+// the core charges every uop on its quiet path and delivers every
+// watched signal as one batch per flush, rebuilt from its Stats,
+// without changing any counter value. While true, signals other than
+// cycles, instret and the mode cycles are delivered after every uop.
 func (p *PMU) SamplingActive() bool {
 	if p.dirty {
 		p.rebuild()

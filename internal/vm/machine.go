@@ -364,8 +364,12 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 				// Charge the region prefix executed before the trap:
 				// every recorded uop completed its semantics, so the
 				// pending window is exactly the set the
-				// per-instruction path would have charged.
+				// per-instruction path would have charged. Then
+				// deliver every delta charged so far, as a normal
+				// return does, so counters read after the trap hold
+				// the whole run.
 				m.flushPending()
+				m.hart.Core.FlushEvents()
 				m.deferring = false
 				m.frames = m.frames[:savedFrames]
 				m.stackTop = savedStack
