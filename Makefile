@@ -14,7 +14,8 @@ vet:
 	$(GO) vet ./...
 
 # bench writes BENCH_OUT (headline, program-cache, daemon, superblock
-# and artifact-store benches, ns/op + the reproduced paper metrics)
+# dispatch and artifact-store benches, ns/op + the reproduced paper
+# metrics)
 # compared against the recorded run in BENCH_BASELINE, for example
 # make bench BENCH_OUT=BENCH_NEW.json BENCH_BASELINE=BENCH_PR9.json.
 BENCH_OUT ?= BENCH_NEW.json

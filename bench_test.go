@@ -531,15 +531,9 @@ func BenchmarkSqliteInterpreter(b *testing.B) {
 }
 
 // benchmarkSuperblock times repeated quiet runs of one workload's
-// entry function on a single machine, with superblock execution forced
-// on or off via the escape hatch — the hot-loop dispatch cost itself,
-// no collectors, no sampling.
-func benchmarkSuperblock(b *testing.B, platName, workload string, fused bool, opts ...mperf.Option) {
-	if fused {
-		b.Setenv("MPERF_NO_SUPERBLOCK", "")
-	} else {
-		b.Setenv("MPERF_NO_SUPERBLOCK", "1")
-	}
+// entry function on a single machine — the hot-loop dispatch cost
+// itself, no collectors, no sampling.
+func benchmarkSuperblock(b *testing.B, platName, workload string, opts ...mperf.Option) {
 	opts = append(opts, mperf.WithProgramCache(mperf.NewProgramCache()))
 	sess, err := mperf.Open(platName, workload, opts...)
 	if err != nil {
@@ -570,44 +564,29 @@ func benchmarkSuperblock(b *testing.B, platName, workload string, fused bool, op
 // BenchmarkSuperblockMatmul isolates the superblock/kernel win on the
 // paper's tiled matmul hot loop (scalar f32 FMA kernel on the X60).
 func BenchmarkSuperblockMatmul(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		fused bool
-	}{{"fused", true}, {"per-instr", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchmarkSuperblock(b, "x60", "matmul", mode.fused, mperf.WithMatmulSize(96, 32))
-		})
-	}
+	b.Run("fused", func(b *testing.B) {
+		benchmarkSuperblock(b, "x60", "matmul", mperf.WithMatmulSize(96, 32))
+	})
 }
 
 // BenchmarkSuperblockTriad does the same for the vectorized streaming
 // triad loop (vector loads/stores + splat + FMA).
 func BenchmarkSuperblockTriad(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		fused bool
-	}{{"fused", true}, {"per-instr", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchmarkSuperblock(b, "i5", "triad", mode.fused, mperf.WithElems(1<<16))
-		})
-	}
+	b.Run("fused", func(b *testing.B) {
+		benchmarkSuperblock(b, "i5", "triad", mperf.WithElems(1<<16))
+	})
 }
 
 // BenchmarkSuperblockSqlite covers the branchy non-kernel case: the
 // sqlite bytecode interpreter fuses regions but matches no specialized
 // loop kernels, so this pins the generic superblock path's cost.
 func BenchmarkSuperblockSqlite(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		fused bool
-	}{{"fused", true}, {"per-instr", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchmarkSuperblock(b, "x60", "sqlite", mode.fused,
-				mperf.WithSqliteConfig(workloads.SqliteConfig{
-					ProgLen: 64, Rows: 80, Queries: 2, CellArea: 2048, TextArea: 2048, PatLen: 6,
-				}))
-		})
-	}
+	b.Run("fused", func(b *testing.B) {
+		benchmarkSuperblock(b, "x60", "sqlite",
+			mperf.WithSqliteConfig(workloads.SqliteConfig{
+				ProgLen: 64, Rows: 80, Queries: 2, CellArea: 2048, TextArea: 2048, PatLen: 6,
+			}))
+	})
 }
 
 // --- Artifact store benches (PR 9) ---

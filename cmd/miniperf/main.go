@@ -241,10 +241,11 @@ func main() {
 		opts = append(opts, mperf.WithArtifactDir(*cacheDir))
 	}
 	// -vm-stats: diagnostic coverage counters, printed to stderr on
-	// exit and deliberately kept out of Profile output (profiles stay
-	// bit-identical with and without superblocks). Only in-process
-	// execution feeds the accumulator; daemon-served requests run in
-	// the daemon's VMs.
+	// exit and deliberately kept out of Profile output (profiles depend
+	// only on the simulated machine). Every step runs fused, so the
+	// fused share reads 100%; the kernel counters show how much of it
+	// ran as specialized loops. Only in-process execution feeds the
+	// accumulator; daemon-served requests run in the daemon's VMs.
 	var execStats mperf.ExecStats
 	if *vmStats {
 		opts = append(opts, mperf.WithExecStats(&execStats))

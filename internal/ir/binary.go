@@ -222,12 +222,14 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
+// Varints must be minimal (no zero final byte after the first), so
+// every decodable module has exactly one encoding.
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.buf[d.pos+n-1] == 0 {
 		d.fail("bad uvarint at byte %d", d.pos)
 		return 0
 	}
@@ -240,7 +242,7 @@ func (d *decoder) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.buf[d.pos+n-1] == 0 {
 		d.fail("bad varint at byte %d", d.pos)
 		return 0
 	}
@@ -315,7 +317,7 @@ type pendingArg struct {
 	ival int64
 	bits uint64
 	// refValue / refGlobal payload:
-	idx int
+	idx uint64
 }
 
 // DecodeModule reads a module in the EncodeModule format. The decoded
@@ -350,9 +352,14 @@ func DecodeModule(data []byte) (*Module, error) {
 		f.SourceFile = d.str()
 		f.SourceLine = int(d.uvarint())
 		nHints := d.count("hint")
+		prevKey := ""
 		for j := 0; j < nHints && d.err == nil; j++ {
 			k := d.str()
 			v := d.varint()
+			if j > 0 && k <= prevKey {
+				d.fail("hint %q of @%s out of order", k, f.FName)
+			}
+			prevKey = k
 			if f.Hints == nil {
 				f.Hints = make(map[string]int64, nHints)
 			}
@@ -434,7 +441,9 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				block: b,
 			}
 			if in.Ty != Void {
-				in.name = d.str()
+				if in.name = d.str(); in.name == "" && d.err == nil {
+					d.fail("unnamed value in @%s", f.FName)
+				}
 			}
 			nArgs := d.count("arg")
 			if nArgs > 0 {
@@ -443,16 +452,18 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 			for a := 0; a < nArgs && d.err == nil; a++ {
 				pa := pendingArg{tag: d.u8()}
 				switch pa.tag {
-				case refConstInt:
+				case refConstInt, refConstFloat:
 					pa.ty = d.typ()
-					pa.ival = d.varint()
-					nConsts++
-				case refConstFloat:
-					pa.ty = d.typ()
-					pa.bits = d.u64()
+					if float := pa.tag == refConstFloat; pa.ty.IsFloat() != float {
+						d.fail("constant tag %d does not match type %s", pa.tag, pa.ty)
+					} else if float {
+						pa.bits = d.u64()
+					} else {
+						pa.ival = d.varint()
+					}
 					nConsts++
 				case refValue, refGlobal:
-					pa.idx = int(d.uvarint())
+					pa.idx = d.uvarint()
 				default:
 					d.fail("unknown operand tag %d", pa.tag)
 				}
@@ -463,8 +474,8 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				in.Blocks = make([]*Block, 0, nBlockRefs)
 			}
 			for bi := 0; bi < nBlockRefs && d.err == nil; bi++ {
-				idx := int(d.uvarint())
-				if d.err == nil && idx >= len(f.Blocks) {
+				idx := d.uvarint()
+				if d.err == nil && idx >= uint64(len(f.Blocks)) {
 					d.fail("block ref %d out of range in @%s", idx, f.FName)
 					break
 				}
@@ -477,8 +488,8 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 				in.Cases = append(in.Cases, d.varint())
 			}
 			if op == OpCall {
-				idx := int(d.uvarint())
-				if d.err == nil && idx >= len(m.Funcs) {
+				idx := d.uvarint()
+				if d.err == nil && idx >= uint64(len(m.Funcs)) {
 					d.fail("callee index %d out of range", idx)
 				}
 				if d.err == nil {
@@ -513,12 +524,12 @@ func (d *decoder) funcBody(m *Module, f *Func) error {
 					consts[0] = Const{Ty: pa.ty, Float: math.Float64frombits(pa.bits)}
 					in.Args[a], consts = &consts[0], consts[1:]
 				case refValue:
-					if pa.idx >= len(values) {
+					if pa.idx >= uint64(len(values)) {
 						return fmt.Errorf("ir: decode: value ref %d out of range in @%s", pa.idx, f.FName)
 					}
 					in.Args[a] = values[pa.idx]
 				case refGlobal:
-					if pa.idx >= len(m.Globals) {
+					if pa.idx >= uint64(len(m.Globals)) {
 						return fmt.Errorf("ir: decode: global ref %d out of range in @%s", pa.idx, f.FName)
 					}
 					in.Args[a] = m.Globals[pa.idx]

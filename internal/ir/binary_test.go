@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -159,5 +160,54 @@ func TestBinaryTrailingBytes(t *testing.T) {
 	data := append(EncodeModule(codecModule(t)), 0x00)
 	if _, err := DecodeModule(data); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("want trailing-bytes error, got %v", err)
+	}
+}
+
+// TestBinaryDecodeRejectsNonCanonical pins that every decodable module
+// has exactly one encoding, so decode∘encode is the identity on
+// anything that decodes: an overlong varint, unsorted hint keys, an
+// unnamed value, a constant whose tag disagrees with its type, and an
+// index beyond every table are all errors.
+func TestBinaryDecodeRejectsNonCanonical(t *testing.T) {
+	m, err := Parse(`module "c"
+
+func @f(%n: i64) -> f64 !hint "a" 1 !hint "b" 2 {
+entry:
+  %value = add i64 %n, 7
+  %w = sitofp i64 %value to f64
+  %r = fadd f64 %w, 1.5
+  ret f64 %r
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := EncodeModule(m)
+	if _, err := DecodeModule(data); err != nil {
+		t.Fatal(err)
+	}
+	patch := func(old, new []byte) []byte {
+		t.Helper()
+		if bytes.Count(data, old) != 1 {
+			t.Fatalf("pattern % x not unique in the encoding", old)
+		}
+		return bytes.Replace(data, old, new, 1)
+	}
+	i64, f64 := byte(KI64), byte(KF64)
+	for name, bad := range map[string][]byte{
+		// The module name's length, 1, written in two bytes.
+		"overlong varint": append([]byte{data[0], data[1] | 0x80, 0}, data[2:]...),
+		"unsorted hints":  patch([]byte("\x01a\x02\x01b\x04"), []byte("\x01b\x04\x01a\x02")),
+		"unnamed value":   patch([]byte("\x05value"), []byte{0}),
+		"int-tagged float": patch(
+			[]byte{refConstFloat, f64, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f},
+			[]byte{refConstInt, f64, 0, 0x02}),
+		"value index past MaxInt": patch(
+			[]byte{refValue, 0, refConstInt, i64, 0, 0x0e},
+			[]byte{refValue, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, refConstInt, i64, 0, 0x0e}),
+	} {
+		if _, err := DecodeModule(bad); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }

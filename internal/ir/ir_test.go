@@ -428,3 +428,37 @@ func TestEnsureNamesAssignsMissing(t *testing.T) {
 		t.Error("printer must assign names to anonymous values")
 	}
 }
+
+// TestVerifyRejectsMissingOperands pins that an instruction with fewer
+// operands than its opcode needs is a verify error, not a panic:
+// decoded modules come from outside and need not match any opcode's
+// shape.
+func TestVerifyRejectsMissingOperands(t *testing.T) {
+	for _, in := range []*Instr{
+		{Op: OpLoad, Ty: I64, name: "x"},
+		{Op: OpGEP, Ty: Ptr, name: "x"},
+		{Op: OpSplat, Ty: Type{Kind: KF32, Lanes: 4}, name: "x"},
+		{Op: OpExtract, Ty: F32, name: "x"},
+		{Op: OpReduce, Ty: F32, name: "x"},
+		{Op: OpAlloca, Ty: Ptr, name: "x"},
+	} {
+		m := NewModule("test")
+		f := m.NewFunc("f", Void)
+		b := NewBuilder(f)
+		blk := b.NewBlock("entry")
+		ret := b.RetVoid()
+		in.block = blk
+		blk.Instrs = []*Instr{in, ret}
+		if err := Verify(m); err == nil {
+			t.Errorf("%s without operands passed verification", in.Op)
+		}
+	}
+
+	m := NewModule("test")
+	f := m.NewFunc("f", Void)
+	blk := NewBuilder(f).NewBlock("entry")
+	blk.Instrs = []*Instr{{Op: OpSwitch, Blocks: []*Block{blk}, block: blk}}
+	if err := Verify(m); err == nil {
+		t.Error("switch without a selector passed verification")
+	}
+}

@@ -76,10 +76,23 @@ func verifyBlock(f *Func, b *Block, preds map[*Block][]*Block) error {
 			seenNonPhi = true
 		}
 		if err := verifyInstr(f, b, in, preds); err != nil {
-			return fmt.Errorf("block %s: %s: %w", b.BName, formatInstr(in), err)
+			return fmt.Errorf("block %s: %s: %w", b.BName, describeInstr(in), err)
 		}
 	}
 	return nil
+}
+
+// describeInstr renders an instruction that failed verification. Its
+// operands need not match its opcode's shape (decoded modules come from
+// outside), so a shape the printer cannot render falls back to the
+// opcode and the value name.
+func describeInstr(in *Instr) (s string) {
+	defer func() {
+		if recover() != nil {
+			s = fmt.Sprintf("%s %%%s", in.Op, in.name)
+		}
+	}()
+	return formatInstr(in)
 }
 
 func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error {
@@ -122,10 +135,13 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 			return fmt.Errorf("conversion needs 1 operand")
 		}
 	case in.Op == OpSplat:
-		if !in.Ty.IsVector() || in.Args[0].Type() != in.Ty.Elem() {
+		if len(in.Args) != 1 || !in.Ty.IsVector() || in.Args[0].Type() != in.Ty.Elem() {
 			return fmt.Errorf("splat type mismatch")
 		}
 	case in.Op == OpExtract:
+		if len(in.Args) != 1 {
+			return fmt.Errorf("extract needs 1 operand")
+		}
 		v := in.Args[0].Type()
 		if !v.IsVector() || in.Ty != v.Elem() {
 			return fmt.Errorf("extract type mismatch")
@@ -134,16 +150,22 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 			return fmt.Errorf("extract lane %d out of range", in.Lane)
 		}
 	case in.Op == OpReduce:
+		if len(in.Args) != 1 {
+			return fmt.Errorf("reduce needs 1 operand")
+		}
 		v := in.Args[0].Type()
 		if !v.IsVector() || in.Ty != v.Elem() {
 			return fmt.Errorf("reduce type mismatch")
 		}
 	case in.Op == OpAlloca:
+		if len(in.Args) != 1 {
+			return fmt.Errorf("alloca needs 1 operand")
+		}
 		if in.Ty != Ptr {
 			return fmt.Errorf("alloca must produce ptr")
 		}
 	case in.Op == OpLoad:
-		if !in.Args[0].Type().IsPtr() {
+		if len(in.Args) != 1 || !in.Args[0].Type().IsPtr() {
 			return fmt.Errorf("load through non-pointer")
 		}
 	case in.Op == OpStore:
@@ -154,7 +176,7 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 			return fmt.Errorf("store produces no value")
 		}
 	case in.Op == OpGEP:
-		if !in.Args[0].Type().IsPtr() || !in.Args[1].Type().IsInteger() {
+		if len(in.Args) != 2 || !in.Args[0].Type().IsPtr() || !in.Args[1].Type().IsInteger() {
 			return fmt.Errorf("gep needs ptr base and integer index")
 		}
 		if in.Ty != Ptr {
@@ -229,7 +251,7 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds map[*Block][]*Block) error 
 		if len(in.Blocks) < 1 || len(in.Cases) != len(in.Blocks)-1 {
 			return fmt.Errorf("switch case/target mismatch")
 		}
-		if !in.Args[0].Type().IsInteger() {
+		if len(in.Args) != 1 || !in.Args[0].Type().IsInteger() {
 			return fmt.Errorf("switch on non-integer")
 		}
 	default:

@@ -225,11 +225,12 @@ func (c *Core) SetSink(s EventSink) {
 }
 
 // RefreshSinkMask re-reads the sink's watch mask. The interpreter
-// calls this at block boundaries; anyone reconfiguring counters while
-// driving Exec directly should call it before the next uop. When the
-// mask starts watching a signal other than cycles, instret and the
-// mode cycles, the Stats flush mark is re-baselined so FlushEvents
-// never delivers activity from before the signal was watched.
+// calls this at the block boundaries of sampling activations; anyone
+// reconfiguring counters while driving Exec directly should call it
+// before the next uop. When the mask starts watching a signal other
+// than cycles, instret and the mode cycles, the Stats flush mark is
+// re-baselined so FlushEvents never delivers activity from before the
+// signal was watched.
 func (c *Core) RefreshSinkMask() {
 	wasCounting := c.sinkMask&^timeSigMask != 0
 	c.sinkMask = 0
@@ -372,17 +373,20 @@ func (c *Core) Reset() {
 	}
 }
 
-// Exec executes one micro-op whose register slots are already
-// salted, advancing time and accumulating statistics. Its signals
-// reach the sink at the next FlushEvents, except while the sink has
-// an armed sampler and watches a signal other than cycles, instret
-// and the mode cycles: then Exec flushes after the uop, so an
-// overflow on an event counter fires at the uop that crossed it.
+// Exec charges one micro-op whose register slots are already salted:
+// a one-uop region with salt 0, so it runs the same charge loop as
+// ExecRegion. Its signals reach the sink at the next FlushEvents,
+// except while the sink has an armed sampler and watches a signal
+// other than cycles, instret and the mode cycles: then Exec flushes
+// after the uop, so an overflow on an event counter fires at the uop
+// that crossed it.
 func (c *Core) Exec(u *Uop) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	c.execQuiet(u)
+	tmpl := [1]Uop{*u}
+	dyn := [1]RegionDyn{{Addr: u.Addr, Target: u.Target, Taken: u.Taken}}
+	c.chargeRegion(tmpl[:], dyn[:], 0)
 	if c.sinkSampling && c.sinkMask&^timeSigMask != 0 {
 		c.FlushEvents()
 	}
@@ -394,179 +398,6 @@ func (c *Core) Exec(u *Uop) {
 // every other signal's come from the Stats mark.
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
-
-// execQuiet charges one uop and accumulates its statistics; the
-// watched deltas are rebuilt from those statistics at the next
-// FlushEvents. It is the per-uop twin of the region loops in region.go
-// (a one-uop region would cost a copy and a loop per uop on the
-// per-instruction path); TestRegionMatchesExec pins the two together
-// and TestExecMatchesReference pins both to the reference model.
-func (c *Core) execQuiet(u *Uop) {
-	if c.cfg.Kind == InOrder {
-		c.execQuietInOrder(u)
-	} else {
-		c.execQuietOutOfOrder(u)
-	}
-
-	c.instretFx += uint64(c.cfg.expansion(u.Class))
-	c.stats.Uops++
-
-	if c.nextTimer != 0 && c.cycles >= c.nextTimer {
-		timerCycles := c.cfg.TimerHandlerCycles
-		c.cycles += timerCycles
-		c.instretFx += timerCycles << 8
-		c.nextTimer += c.cfg.TimerIntervalCycles
-		c.stats.TimerTicks++
-		// Tracked so FlushEvents can attribute handler time to S-mode.
-		c.timerSinceFlush += timerCycles
-	}
-
-	flops := uint64(u.Flops)
-	specFlops := flops
-	if flops > 0 && c.replayFP > 0 {
-		specFlops += flops
-		c.replayFP--
-	}
-	c.stats.Flops += flops
-	c.stats.SpecFlops += specFlops
-	c.stats.IntOps += uint64(u.IntOps)
-}
-
-// execQuietInOrder charges one uop on the in-order model: register
-// scoreboard stalls, dual issue, the store buffer and mispredict
-// penalties.
-func (c *Core) execQuietInOrder(u *Uop) {
-	earliest := c.cycles
-	if u.Src1 >= 0 {
-		if r := c.ready[uint32(u.Src1)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src2 >= 0 {
-		if r := c.ready[uint32(u.Src2)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src3 >= 0 {
-		if r := c.ready[uint32(u.Src3)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if earliest > c.cycles {
-		c.stats.StallCycles += earliest - c.cycles
-		c.cycles = earliest
-		c.issued = 0
-	}
-	if c.issued >= c.cfg.IssueWidth {
-		c.cycles++
-		c.issued = 0
-	}
-
-	lat := c.cfg.Latency[u.Class]
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		lat += access.Latency
-		c.chargeQuietAccess(access)
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			c.issued = 0
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-		c.chargeQuietAccess(access)
-		c.stats.Stores++
-	case OpBranch:
-		if c.bp.conditional(u.BrID, u.Taken) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.issued = 0
-		}
-	case OpIndirect:
-		if c.bp.indirect(u.BrID, u.Target) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.issued = 0
-		}
-	case OpFPAdd, OpFPMul, OpFMA, OpFPDiv:
-		c.stats.FPOps++
-	case OpVecALU, OpVecFMA:
-		c.stats.VecFPOps++
-	}
-
-	c.issued++
-	if u.Dst >= 0 {
-		c.ready[uint32(u.Dst)&(scoreboardSize-1)] = c.cycles + lat
-	}
-}
-
-// execQuietOutOfOrder charges one uop on the analytic out-of-order
-// model: issue bandwidth plus the penalties the window cannot hide
-// (exposed miss latency over MLP, a full store buffer, long-latency
-// divides, mispredicts).
-func (c *Core) execQuietOutOfOrder(u *Uop) {
-	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
-	if c.fracCycle >= 256 {
-		c.cycles += c.fracCycle >> 8
-		c.fracCycle &= 255
-	}
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		if access.L1Miss {
-			pen := access.Latency / uint64(c.cfg.MLP)
-			c.cycles += pen
-			c.stats.StallCycles += pen
-			c.replayFP = 8
-		}
-		c.chargeQuietAccess(access)
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-		c.chargeQuietAccess(access)
-		c.stats.Stores++
-	case OpFPDiv:
-		c.stats.FPOps++
-		fallthrough
-	case OpIntDiv:
-		pen := c.cfg.Latency[u.Class] / 2
-		c.cycles += pen
-		c.stats.StallCycles += pen
-	case OpBranch:
-		if c.bp.conditional(u.BrID, u.Taken) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.stats.StallCycles += c.cfg.MispredictPenalty
-		}
-	case OpIndirect:
-		if c.bp.indirect(u.BrID, u.Target) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.stats.StallCycles += c.cfg.MispredictPenalty
-		}
-	case OpFPAdd, OpFPMul, OpFMA:
-		c.stats.FPOps++
-	case OpVecALU, OpVecFMA:
-		c.stats.VecFPOps++
-	}
-}
 
 // chargeQuietAccess folds a memory access's event counts into the
 // statistics.

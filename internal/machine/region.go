@@ -1,12 +1,12 @@
 package machine
 
-// This file implements region-granular charging: the interpreter's
-// superblock execution mode records one RegionDyn per micro-op while
-// running a straight-line region's semantics, then charges the whole
-// region through ExecRegion in a single call. The per-uop charging
-// logic is the same as Exec's — the quiet pipeline loops are inlined
-// here so a region costs one call instead of one call per uop — and
-// TestRegionMatchesExec pins the equivalence.
+// This file implements region-granular charging: the interpreter
+// records one RegionDyn per micro-op while running a straight-line
+// region's semantics, then charges the whole region through ExecRegion
+// in a single call. Each pipeline kind has exactly one charge loop
+// (regionQuietInOrder, regionQuietOutOfOrder); Exec is a one-uop
+// region over the same loops, and TestExecMatchesReference pins them
+// to the per-uop reference model kept in test code.
 
 // RegionDyn carries the dynamic operands of one micro-op in a fused
 // region: the memory address, conditional-branch outcome and indirect
@@ -23,10 +23,11 @@ type RegionDyn struct {
 // overflow samples (the PMU model). While it reports no armed sampler,
 // delivery is pure accumulation: the core batches every watched signal
 // from its Stats at flush points, and ExecRegion flushes once per
-// region. While a sampler is armed, signals other than cycles, instret
-// and the mode cycles are flushed after every uop, so an overflow on
-// an event counter fires at the uop that crossed it; the time signals
-// stay block-granular either way. A sink that does not implement it is
+// region. While a sampler is armed, the interpreter charges one block
+// per region behind a block boundary, and signals other than cycles,
+// instret and the mode cycles are flushed after every uop, so an
+// overflow on an event counter fires at the uop that crossed it; the
+// time signals stay block-granular either way. A sink that does not implement it is
 // conservatively treated as sampling whenever its watch mask is
 // non-zero.
 type SamplingSink interface {
@@ -54,12 +55,12 @@ func (c *Core) SamplingActive() bool {
 //
 // The charge sequence is identical to calling Exec once per uop with
 // the same operands. While the sink has an armed sampler and watches a
-// signal other than cycles, instret and the mode cycles, each uop runs
-// through Exec, which flushes after it. Otherwise the charge loops
-// below run the whole region, and when such a signal is watched the
-// region's deltas are flushed before ExecRegion returns, so a counting
-// sink holds the region's events without a caller-side flush. Time
-// signals alone wait for the caller's next FlushEvents.
+// signal other than cycles, instret and the mode cycles, the region is
+// charged one uop at a time with a flush after each. Otherwise the
+// charge loop runs the whole region, and when such a signal is watched
+// the region's deltas are flushed before ExecRegion returns, so a
+// counting sink holds the region's events without a caller-side flush.
+// Time signals alone wait for the caller's next FlushEvents.
 func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if len(tmpl) == 0 {
 		return
@@ -72,18 +73,25 @@ func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 		c.regionObserved(tmpl, dyn, salt)
 		return
 	}
-	if c.cfg.Kind == InOrder {
-		c.regionQuietInOrder(tmpl, dyn, salt)
-	} else {
-		c.regionQuietOutOfOrder(tmpl, dyn, salt)
-	}
+	c.chargeRegion(tmpl, dyn, salt)
 	if counting {
 		c.FlushEvents()
 	}
 }
 
-// regionQuietInOrder is execQuietInOrder plus execQuiet's retirement
-// tail, fused over the whole region with salted slot hashing inlined.
+// chargeRegion runs the pipeline kind's charge loop over a region.
+func (c *Core) chargeRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
+	if c.cfg.Kind == InOrder {
+		c.regionQuietInOrder(tmpl, dyn, salt)
+	} else {
+		c.regionQuietOutOfOrder(tmpl, dyn, salt)
+	}
+}
+
+// regionQuietInOrder charges a region on the in-order model: register
+// scoreboard stalls, dual issue, the store buffer and mispredict
+// penalties, then retirement, the timer tick and the FLOP accounting
+// of each uop.
 func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	for i := range tmpl {
 		u := &tmpl[i]
@@ -182,8 +190,11 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	}
 }
 
-// regionQuietOutOfOrder is execQuietOutOfOrder plus execQuiet's
-// retirement tail, fused the same way.
+// regionQuietOutOfOrder charges a region on the analytic out-of-order
+// model: issue bandwidth plus the penalties the window cannot hide
+// (exposed miss latency over MLP, a full store buffer, long-latency
+// divides, mispredicts), then the same retirement tail as the in-order
+// loop.
 func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	issueFx := 256 / uint64(c.cfg.IssueWidth)
 	for i := range tmpl {
@@ -270,29 +281,11 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 
 // regionObserved charges a region while a sampler is armed and
 // signals other than cycles, instret and the mode cycles are watched:
-// each uop is materialized (template copy, salted slots, dyn overlay)
-// and run through Exec, which flushes after it, so mid-region overflow
-// sampling on event counters behaves exactly like the unfused
-// interpreter.
+// one uop at a time through the charge loop, flushing after each, so
+// an overflow on an event counter fires at the uop that crossed it.
 func (c *Core) regionObserved(tmpl []Uop, dyn []RegionDyn, salt uint32) {
-	var u Uop
 	for i := range tmpl {
-		u = tmpl[i]
-		if u.Dst >= 0 {
-			u.Dst = int32((uint32(u.Dst) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src1 >= 0 {
-			u.Src1 = int32((uint32(u.Src1) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src2 >= 0 {
-			u.Src2 = int32((uint32(u.Src2) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src3 >= 0 {
-			u.Src3 = int32((uint32(u.Src3) + salt) & (scoreboardSize - 1))
-		}
-		u.Addr = dyn[i].Addr
-		u.Taken = dyn[i].Taken
-		u.Target = dyn[i].Target
-		c.Exec(&u)
+		c.chargeRegion(tmpl[i:i+1], dyn[i:i+1], salt)
+		c.FlushEvents()
 	}
 }

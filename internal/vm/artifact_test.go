@@ -10,9 +10,9 @@ import (
 
 // compileSum compiles the shared sum module with a baked data image,
 // mirroring what workloads.BuildProgram produces.
-func compileSum(t *testing.T, n int, opts ...CompileOption) *Program {
+func compileSum(t *testing.T, n int) *Program {
 	t.Helper()
-	prog, err := Compile(buildSumModule(n), opts...)
+	prog, err := Compile(buildSumModule(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,92 +46,40 @@ func runSumProg(t *testing.T, prog *Program, n int) archResult {
 // TestArtifactRoundTrip pins that a program decoded from its artifact
 // behaves architecturally identically to the original — same result
 // bits, same cycle and instruction counts — with the baked data image
-// intact, in both codegen modes.
+// intact.
 func TestArtifactRoundTrip(t *testing.T) {
 	const n = 512
-	for _, sb := range []bool{true, false} {
-		name := "superblocks"
-		if !sb {
-			name = "per-instruction"
+	t.Run("superblocks", func(t *testing.T) {
+		prog := compileSum(t, n)
+		want := runSumProg(t, prog, n)
+
+		data, err := EncodeArtifact(prog)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			prog := compileSum(t, n, WithSuperblocks(sb))
-			want := runSumProg(t, prog, n)
+		loaded, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.DataSize() != prog.DataSize() {
+			t.Fatalf("data size changed: %d != %d", loaded.DataSize(), prog.DataSize())
+		}
+		got := runSumProg(t, loaded, n)
+		if got != want {
+			t.Fatalf("decoded program diverges: got %+v, want %+v", got, want)
+		}
 
-			data, err := EncodeArtifact(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := DecodeArtifact(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Superblocks() != sb {
-				t.Fatalf("decoded superblocks = %v, want %v", loaded.Superblocks(), sb)
-			}
-			if loaded.DataSize() != prog.DataSize() {
-				t.Fatalf("data size changed: %d != %d", loaded.DataSize(), prog.DataSize())
-			}
-			got := runSumProg(t, loaded, n)
-			if got != want {
-				t.Fatalf("decoded program diverges: got %+v, want %+v", got, want)
-			}
-
-			// The artifact encoding itself must be stable: re-encoding
-			// the decoded program reproduces the identical bytes (the
-			// content-addressed store relies on this).
-			data2, err := EncodeArtifact(loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(data2) != string(data) {
-				t.Fatal("artifact encoding is not stable across a round trip")
-			}
-		})
-	}
-}
-
-// TestArtifactHotFuncsRoundTrip pins that the hot-function restriction
-// survives serialization: a program compiled with WithHotFuncs
-// re-plans under the same restriction after decode.
-func TestArtifactHotFuncsRoundTrip(t *testing.T) {
-	const n = 256
-	prog := compileSum(t, n, WithHotFuncs("sum"))
-	data, err := EncodeArtifact(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := DecodeArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.hotFuncs) != 1 || loaded.hotFuncs[0] != "sum" {
-		t.Fatalf("hot funcs lost: %v", loaded.hotFuncs)
-	}
-	if got, want := runSumProg(t, loaded, n), runSumProg(t, prog, n); got != want {
-		t.Fatalf("decoded hot-func program diverges: got %+v, want %+v", got, want)
-	}
-
-	// Unrestricted (nil) and disabled (empty) restrictions are distinct
-	// states and must both survive.
-	unrestricted := compileSum(t, n)
-	du, _ := EncodeArtifact(unrestricted)
-	lu, err := DecodeArtifact(du)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lu.hotFuncs != nil {
-		t.Fatalf("unrestricted program decoded with restriction %v", lu.hotFuncs)
-	}
-	disabled := compileSum(t, n, WithHotFuncs())
-	dd, _ := EncodeArtifact(disabled)
-	ld, err := DecodeArtifact(dd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ld.hotFuncs == nil || len(ld.hotFuncs) != 0 {
-		t.Fatalf("disabled restriction decoded as %v", ld.hotFuncs)
-	}
+		// The artifact encoding itself must be stable: re-encoding
+		// the decoded program reproduces the identical bytes (the
+		// content-addressed store relies on this).
+		data2, err := EncodeArtifact(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data2) != string(data) {
+			t.Fatal("artifact encoding is not stable across a round trip")
+		}
+	})
 }
 
 // TestArtifactDecodeRejects pins the decoder's failure modes: version

@@ -55,8 +55,8 @@ type kOp struct {
 	aImm    uint64
 	bImm    uint64
 	cImm    uint64
-	off     int64 // load/store byte offset (in.Scale)
-	scale   int64 // gep element size (in.Scale)
+	off     int64    // load/store byte offset (in.Scale)
+	scale   int64    // gep element size (in.Scale)
 	cnt     [4]int64 // mperf.count constant block costs
 	elem    ir.Type
 	elemSz  uint64

@@ -39,11 +39,11 @@ func buildFMASumModule(n int) *ir.Module {
 	return m
 }
 
-// runFMASum compiles the module with the given options, runs it, and
-// returns the result plus the machine's kernel coverage.
-func runFMASum(t *testing.T, n int, opts ...CompileOption) (float32, *ExecStats) {
+// runFMASum compiles the module, runs it, and returns the result, the
+// cycles it took and the machine's kernel coverage.
+func runFMASum(t *testing.T, n int) (float32, uint64, *ExecStats) {
 	t.Helper()
-	prog, err := Compile(buildFMASumModule(n), opts...)
+	prog, err := Compile(buildFMASumModule(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,44 +65,27 @@ func runFMASum(t *testing.T, n int, opts ...CompileOption) (float32, *ExecStats)
 		t.Fatal(err)
 	}
 	m.FlushExecStats()
-	return math.Float32frombits(uint32(bits)), st
+	return math.Float32frombits(uint32(bits)), m.Cycles(), st
 }
 
-// TestWithHotFuncsGatesKernels pins the profile-guided re-planning
-// hook: kernel specialization engages for every function by default,
-// only for the named functions under WithHotFuncs, and never with
-// superblocks off — with identical results in all cases.
-func TestWithHotFuncsGatesKernels(t *testing.T) {
+// TestFMASumKernelMatchesReference pins that the specialized kernel
+// engages for every iteration of an FMA self-loop and reproduces the
+// per-instruction reference dispatcher's result and cycle count.
+func TestFMASumKernelMatchesReference(t *testing.T) {
 	const n = 512
-	def, defSt := runFMASum(t, n)
-	if defSt.KernelHits.Load() == 0 || defSt.KernelIters.Load() != n {
-		t.Errorf("default compile: kernel hits=%d iters=%d, want engaged with %d iters",
-			defSt.KernelHits.Load(), defSt.KernelIters.Load(), n)
+	got, gotCycles, st := runFMASum(t, n)
+	if st.KernelHits.Load() == 0 || st.KernelIters.Load() != n {
+		t.Errorf("kernel hits=%d iters=%d, want engaged with %d iters",
+			st.KernelHits.Load(), st.KernelIters.Load(), n)
 	}
-
-	hot, hotSt := runFMASum(t, n, WithHotFuncs("sum"))
-	if hotSt.KernelHits.Load() == 0 {
-		t.Error("WithHotFuncs(sum): kernel did not engage for the named function")
+	UseReferenceDispatch(t)
+	want, wantCycles, refSt := runFMASum(t, n)
+	if refSt.FusedSteps.Load() != 0 || refSt.KernelHits.Load() != 0 {
+		t.Errorf("reference dispatch: fused=%d kernels=%d, want per-instruction execution",
+			refSt.FusedSteps.Load(), refSt.KernelHits.Load())
 	}
-
-	cold, coldSt := runFMASum(t, n, WithHotFuncs("unrelated"))
-	if coldSt.KernelHits.Load() != 0 {
-		t.Errorf("WithHotFuncs(unrelated): kernel engaged %d times for an unlisted function",
-			coldSt.KernelHits.Load())
-	}
-	if coldSt.FusedSteps.Load() == 0 {
-		t.Error("WithHotFuncs must not disable superblock fusion itself")
-	}
-
-	off, offSt := runFMASum(t, n, WithSuperblocks(false))
-	if offSt.FusedSteps.Load() != 0 || offSt.KernelHits.Load() != 0 {
-		t.Errorf("WithSuperblocks(false): fused=%d kernels=%d, want per-instruction execution",
-			offSt.FusedSteps.Load(), offSt.KernelHits.Load())
-	}
-
-	for name, got := range map[string]float32{"hot": hot, "cold": cold, "off": off} {
-		if got != def {
-			t.Errorf("%s compile result %f != default %f", name, got, def)
-		}
+	if got != want || gotCycles != wantCycles {
+		t.Errorf("kernel run = %f in %d cycles, reference = %f in %d cycles",
+			got, gotCycles, want, wantCycles)
 	}
 }

@@ -131,7 +131,6 @@ type Machine struct {
 	steps    uint64
 
 	vlenBytes int
-	uop       machine.Uop
 
 	// callScratch carries call arguments into m.call without a per-call
 	// allocation (callees copy it before executing, so reuse across
@@ -141,23 +140,16 @@ type Machine struct {
 	// flattened vector lanes) before any destination is written.
 	phiScratch []uint64
 
-	// Superblock execution state (superblock.go). fused selects the
-	// region-charging dispatch loop (a Program-level constant, set at
-	// instantiation). The pend* fields track the current region's
-	// deferred charges: pendTmpl is the region's charge template,
-	// pendDyn the recorded dynamic operands (parallel to pendTmpl),
-	// [pendFrom, pendFrom+pendN) the not-yet-flushed window, pendSalt
-	// the owning frame's scoreboard salt.
-	// deferring is true while a callFused activation is recording
-	// charges (false in sampling activations, which charge directly
-	// through the per-instruction path).
-	fused     bool
-	deferring bool
-	pendTmpl  []machine.Uop
-	pendDyn   []machine.RegionDyn
-	pendFrom  int
-	pendN     int
-	pendSalt  uint32
+	// Pending-region state (superblock.go): pendTmpl is the current
+	// region's charge template, pendDyn the recorded dynamic operands
+	// (parallel to pendTmpl), [pendFrom, pendFrom+pendN) the
+	// not-yet-flushed window, pendSalt the owning frame's scoreboard
+	// salt.
+	pendTmpl []machine.Uop
+	pendDyn  []machine.RegionDyn
+	pendFrom int
+	pendN    int
+	pendSalt uint32
 	// kernDyn is the specialized loop kernels' per-iteration dyn
 	// buffer (kernels.go), separate from the pending-region buffers.
 	kernDyn []machine.RegionDyn
@@ -362,15 +354,12 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 		if r := recover(); r != nil {
 			if t, ok := r.(trap); ok {
 				// Charge the region prefix executed before the trap:
-				// every recorded uop completed its semantics, so the
-				// pending window is exactly the set the
-				// per-instruction path would have charged. Then
+				// every recorded uop completed its semantics. Then
 				// deliver every delta charged so far, as a normal
 				// return does, so counters read after the trap hold
 				// the whole run.
 				m.flushPending()
 				m.hart.Core.FlushEvents()
-				m.deferring = false
 				m.frames = m.frames[:savedFrames]
 				m.stackTop = savedStack
 				err = t
@@ -379,30 +368,33 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 			panic(r)
 		}
 	}()
-	res, _ := m.call(fp, args)
+	// The arguments travel in the call scratch buffer, so the caller's
+	// variadic slice does not escape through referenceDispatch.
+	m.callScratch = append(m.callScratch[:0], args...)
+	res, _ := m.call(fp, m.callScratch)
 	return res, nil
 }
 
-// call executes one function activation through the threaded-dispatch
-// loop: every step's executor was pre-bound at plan time, so the loop
-// body is one indirect call per instruction. The architectural PC and
-// the step budget are maintained at block granularity (every step of a
-// block shares the block's synthetic PC).
+// referenceDispatch, when set, replaces the dispatch of every
+// activation. It is nil in production; tests install the
+// per-instruction reference dispatcher through it.
+var referenceDispatch func(m *Machine, fp *funcPlan, args []uint64) (uint64, []uint64)
+
+// call executes one function activation: a runtime intrinsic, or a
+// planned function through the superblock dispatch loop.
 func (m *Machine) call(fp *funcPlan, args []uint64) (uint64, []uint64) {
+	if referenceDispatch != nil {
+		return referenceDispatch(m, fp, args)
+	}
 	if fp.intrinsic != "" {
 		return m.intrinsicCall(fp.intrinsic, args), nil
 	}
-	// Superblock dispatch, except while an overflow sampler is armed:
-	// sampling needs block-granular event delivery anyway, so those
-	// activations run the per-instruction loop below unchanged (the
-	// same code path as MPERF_NO_SUPERBLOCK, hence trivially
-	// bit-identical) instead of paying for deferred charging that
-	// cannot be batched. The sampling state only changes between runs
-	// or inside an already-sampling run, so the choice is stable for
-	// the whole activation tree.
-	if m.fused && !m.hart.Core.SamplingActive() {
-		return m.callFused(fp, args)
-	}
+	return m.callFused(fp, args)
+}
+
+// pushFrame opens an activation of fp: a pooled (or fresh) frame with
+// a new scoreboard salt and the arguments in its first registers.
+func (m *Machine) pushFrame(fp *funcPlan, args []uint64) *frame {
 	if len(m.frames) >= maxCallDepth {
 		trapf("call depth exceeded in @%s", fp.fn.FName)
 	}
@@ -424,45 +416,16 @@ func (m *Machine) call(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	fr.retVal, fr.retVec = 0, nil
 	copy(fr.regs, args)
 	m.frames = append(m.frames, fr)
+	return fr
+}
 
-	core := m.hart.Core
-	bp := fp.entry
-	for {
-		m.steps += uint64(len(bp.steps))
-		if m.steps > m.MaxSteps {
-			trapf("step budget exceeded (%d)", m.MaxSteps)
-		}
-		// Flush batched deltas BEFORE moving the PC: samples fired by
-		// the flush must attribute the previous block's cycles to the
-		// block (and frame) that accumulated them.
-		core.BlockBoundary()
-		core.SetPC(bp.pc)
-		fr.curPC = bp.pc
-
-		steps := bp.steps
-		var next *blockPlan
-		for i := range steps {
-			st := &steps[i]
-			if next = st.exec(m, fr, st); next != nil {
-				break
-			}
-		}
-		switch next {
-		case nil:
-			trapf("block %s fell through without terminator", bp.block.BName)
-		case retMarker:
-			// Deliver batched deltas before control leaves the frame, so
-			// callers (and post-run counter reads) see settled values.
-			core.FlushEvents()
-			// Unwind without defer (traps restore state in Run instead).
-			m.frames = m.frames[:len(m.frames)-1]
-			m.stackTop = fr.stackSave
-			m.framePools[fp.index] = append(m.framePools[fp.index], fr)
-			return fr.retVal, fr.retVec
-		default:
-			bp = next
-		}
-	}
+// popFrame closes the innermost activation without defer (traps
+// restore the frame and alloca stacks in Run instead) and returns its
+// frame to the pool.
+func (m *Machine) popFrame(fr *frame) {
+	m.frames = m.frames[:len(m.frames)-1]
+	m.stackTop = fr.stackSave
+	m.framePools[fr.fp.index] = append(m.framePools[fr.fp.index], fr)
 }
 
 // phiMoves performs the parallel copies for the edge prev -> next.
@@ -533,35 +496,12 @@ func (m *Machine) checkVector(ty ir.Type) {
 	}
 }
 
-// slot maps a register id into the core's scoreboard space.
-func (fr *frame) slot(reg int32) int32 {
-	if reg < 0 {
-		return -1
-	}
-	return int32((uint32(reg) + fr.salt) & 0x3FF)
-}
-
-// emit charges one micro-op through the core model. On the superblock
-// path the charge is deferred: only the dynamic operands are recorded
-// (the static remainder lives in the region's charge template) and the
-// whole region is charged in one ExecRegion call at the next flush
-// point. Otherwise the plan-time prototype is copied and only the
-// frame-dependent slots and runtime operands are patched.
-func (m *Machine) emit(fr *frame, st *step, addr uint64, taken bool, target uint64) {
-	if m.deferring {
-		d := &m.pendDyn[m.pendFrom+m.pendN]
-		d.Addr, d.Taken, d.Target = addr, taken, target
-		m.pendN++
-		return
-	}
-	u := &m.uop
-	*u = st.proto
-	u.Dst = fr.slot(st.dst)
-	u.Src1 = fr.slot(st.srcRegs[0])
-	u.Src2 = fr.slot(st.srcRegs[1])
-	u.Src3 = fr.slot(st.srcRegs[2])
-	u.Addr = addr
-	u.Taken = taken
-	u.Target = target
-	m.hart.Core.Exec(u)
+// emit records one micro-op's dynamic operands into the pending
+// region. The static remainder lives in the region's charge template,
+// and the whole region is charged in one ExecRegion call at the next
+// flush point.
+func (m *Machine) emit(addr uint64, taken bool, target uint64) {
+	d := &m.pendDyn[m.pendFrom+m.pendN]
+	d.Addr, d.Taken, d.Target = addr, taken, target
+	m.pendN++
 }

@@ -48,12 +48,11 @@ type step struct {
 	exec execFn
 
 	// proto is the pre-computed micro-op template: class, access size,
-	// branch id and retired-work counts are plan-time constants, so
-	// emit copies the prototype and patches only the frame-dependent
-	// slots and runtime operands.
+	// branch id and retired-work counts are plan-time constants.
+	// buildRegions adds the raw register ids to it to form the block's
+	// charge template.
 	proto machine.Uop
-	// srcRegs holds the first three operand registers (-1 when absent),
-	// so emit charges sources without probing the args slice.
+	// srcRegs holds the first three operand registers (-1 when absent).
 	srcRegs [3]int32
 
 	// blockIdx/blockPC identify the owning block: blockIdx is the
@@ -131,7 +130,6 @@ type planner struct {
 	plans    map[*ir.Func]*funcPlan
 	nextBase uint64
 	nextBrID uint32
-	cfg      compileConfig
 }
 
 // blockAddrStride spaces block PCs within a function's address range.
@@ -160,17 +158,13 @@ func (p *planner) planModule(mod *ir.Module) error {
 			return fmt.Errorf("vm: @%s: %w", f.FName, err)
 		}
 	}
-	if p.cfg.superblocks {
-		for _, f := range mod.Funcs {
-			if len(f.Blocks) == 0 {
-				continue
-			}
-			fp := p.plans[f]
-			buildRegions(fp)
-			if p.cfg.hotFuncs == nil || p.cfg.hotFuncs[f.FName] {
-				matchKernels(fp)
-			}
+	for _, f := range mod.Funcs {
+		if len(f.Blocks) == 0 {
+			continue
 		}
+		fp := p.plans[f]
+		buildRegions(fp)
+		matchKernels(fp)
 	}
 	return nil
 }

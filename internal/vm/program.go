@@ -48,45 +48,23 @@ type Program struct {
 	// machine's dirty high-water mark, so a pooled instantiation is
 	// indistinguishable from a fresh allocation.
 	memPool sync.Pool
-
-	// superblocks records whether the plans carry fused regions;
-	// machines of this program dispatch region-at-a-time when set.
-	superblocks bool
-
-	// hotFuncs records the compile's hot-function restriction in
-	// canonical sorted order (nil = unrestricted), so the artifact
-	// encoder can serialize the exact configuration for re-planning.
-	hotFuncs []string
 }
 
 // Compile verifies, freezes and plans a module into an immutable
 // Program. The module must not be mutated afterwards (ir.Freeze makes
-// the construction APIs enforce this). With no options, superblock
-// fusion follows the MPERF_NO_SUPERBLOCK environment default; see
-// WithSuperblocks and WithHotFuncs.
-func Compile(mod *ir.Module, opts ...CompileOption) (*Program, error) {
-	cfg := compileConfig{superblocks: SuperblocksEnabled()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileModule(mod, cfg)
-}
-
-// compileModule is the shared planning path behind Compile and
-// DecodeArtifact. Every module passes the structural SSA check first,
-// decoded ones included: a checksum proves the bytes are the ones that
-// were written, not that they describe well-formed IR.
-func compileModule(mod *ir.Module, cfg compileConfig) (*Program, error) {
+// the construction APIs enforce this). DecodeArtifact plans through
+// here too: every module passes the structural SSA check first,
+// decoded ones included, because a checksum proves the bytes are the
+// ones that were written, not that they describe well-formed IR.
+func Compile(mod *ir.Module) (*Program, error) {
 	if err := ir.Verify(mod); err != nil {
 		return nil, fmt.Errorf("vm: module does not verify: %w", err)
 	}
 	mod.Freeze()
 	p := &Program{
-		mod:         mod,
-		globalAddr:  make(map[string]uint64),
-		plans:       make(map[*ir.Func]*funcPlan),
-		superblocks: cfg.superblocks,
-		hotFuncs:    sortedHotFuncs(&cfg),
+		mod:        mod,
+		globalAddr: make(map[string]uint64),
+		plans:      make(map[*ir.Func]*funcPlan),
 	}
 
 	// Lay out globals then the alloca stack.
@@ -99,7 +77,7 @@ func compileModule(mod *ir.Module, cfg compileConfig) (*Program, error) {
 	p.stackBase = align(addr, 64)
 	p.memSize = p.stackBase + stackSize
 
-	pl := &planner{prog: p, plans: p.plans, nextBase: 0x400000, cfg: cfg}
+	pl := &planner{prog: p, plans: p.plans, nextBase: 0x400000}
 	if err := pl.planModule(mod); err != nil {
 		return nil, err
 	}
@@ -118,10 +96,6 @@ func compileModule(mod *ir.Module, cfg compileConfig) (*Program, error) {
 
 // Module returns the frozen module the program was compiled from.
 func (p *Program) Module() *ir.Module { return p.mod }
-
-// Superblocks reports whether this program was compiled with
-// superblock fusion (its machines execute region-at-a-time).
-func (p *Program) Superblocks() bool { return p.superblocks }
 
 // GlobalAddr returns the load address of a global; the layout is a
 // program-level constant shared by every machine.
@@ -170,7 +144,6 @@ func NewMachine(p *Program, plat *platform.Platform) *Machine {
 		vlenBytes: plat.Core.VectorLanes32 * 4,
 	}
 	m.kern = kernel.New(m.hart.Firmware, m)
-	m.fused = p.superblocks
 
 	memRef := p.memPool.Get().(*[]byte)
 	m.memRef = memRef

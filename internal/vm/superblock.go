@@ -1,103 +1,42 @@
 package vm
 
 import (
-	"os"
 	"sync/atomic"
 
 	"mperf/internal/ir"
 	"mperf/internal/machine"
 )
 
-// This file implements superblock execution: straight-line regions —
-// basic blocks and single-predecessor chains of unconditionally linked
-// blocks — are fused at plan time into immutable charge templates, and
-// the dispatch loop charges each region through one
-// machine.Core.ExecRegion call instead of one Core.Exec call per
-// instruction. Instruction semantics still run through the pre-bound
-// step executors; emit records each uop's dynamic operands (address,
-// branch outcome, indirect target) into a pending buffer that is
-// flushed at region exits, before calls and intrinsics (whose runtimes
-// read the cycle clock), at returns, and on traps — so the charge
-// sequence seen by the core is exactly the per-instruction sequence.
+// This file implements superblock execution, the VM's one dispatch
+// loop: straight-line regions — basic blocks and single-predecessor
+// chains of unconditionally linked blocks — are fused at plan time into
+// immutable charge templates, and the dispatch loop charges each region
+// through one machine.Core.ExecRegion call. Instruction semantics run
+// through the pre-bound step executors; emit records each uop's dynamic
+// operands (address, branch outcome, indirect target) into a pending
+// buffer that is flushed at region exits, before calls and intrinsics
+// (whose runtimes read the cycle clock), at returns, and on traps — so
+// the charge sequence seen by the core is exactly the program-order
+// per-instruction sequence.
 //
-// While an overflow sampler is armed, block-granular event delivery is
-// preserved (samples attribute to block PCs), so profiles are
-// bit-identical to the per-instruction path in every collector mode;
-// TestSuperblockInvariance pins this across the workload catalog.
+// An activation that starts with an overflow sampler armed skips loop
+// kernels and chains: it runs every block as its own region behind a
+// block boundary (flush, then the block's PC), the granularity at which
+// samples attribute. TestSuperblockInvariance pins the profiles of
+// every collector mode across the workload catalog against the
+// per-instruction reference dispatcher kept in test code.
 
-// codegenVersion identifies the VM's plan/execution scheme. It is part
-// of CodegenTag, which callers caching compiled Programs must fold
-// into their cache keys so artifacts are never reused across codegen
-// changes.
-const codegenVersion = 2
-
-// noSuperblockEnv is the escape hatch: setting it (to any non-empty
-// value) makes Compile default to the per-instruction path, keeping it
-// alive for differential testing.
-const noSuperblockEnv = "MPERF_NO_SUPERBLOCK"
-
-// SuperblocksEnabled reports the compile-time default for superblock
-// execution: on, unless the MPERF_NO_SUPERBLOCK environment variable
-// is set.
-func SuperblocksEnabled() bool {
-	return os.Getenv(noSuperblockEnv) == ""
-}
-
-// CodegenTag returns the cache-key component describing the VM
-// codegen that Compile would use right now (version plus the
-// superblock default). Program caches must include it in their keys.
-func CodegenTag() string {
-	return codegenTag(SuperblocksEnabled())
-}
-
-func codegenTag(superblocks bool) string {
-	if superblocks {
-		return "cg2+sb"
-	}
-	return "cg2"
-}
-
-// compileConfig collects Compile's functional options.
-type compileConfig struct {
-	superblocks bool
-	// hotFuncs, when non-nil, restricts specialized loop-kernel
-	// matching to the named functions (the profile-guided re-planning
-	// hook); nil means every function is a candidate.
-	hotFuncs map[string]bool
-}
-
-// CompileOption configures Compile.
-type CompileOption func(*compileConfig)
-
-// WithSuperblocks overrides the environment-driven superblock default
-// for one compile, keeping both codegen paths reachable in-process for
-// differential tests.
-func WithSuperblocks(on bool) CompileOption {
-	return func(c *compileConfig) { c.superblocks = on }
-}
-
-// WithHotFuncs restricts specialized loop-kernel matching to the named
-// functions. It is the profile-guided re-planning hook: a caller that
-// has sampled an earlier run can recompile with only the hot functions
-// listed, focusing specialization where the simulator's own hotspot
-// data says it pays. Superblock fusion itself is unaffected (it is
-// uniformly cheap). With no names, specialization is disabled
-// entirely; without this option every function is a candidate.
-func WithHotFuncs(names ...string) CompileOption {
-	return func(c *compileConfig) {
-		c.hotFuncs = make(map[string]bool, len(names))
-		for _, n := range names {
-			c.hotFuncs[n] = true
-		}
-	}
-}
+// CodegenTag returns the cache-key component describing the VM's plan
+// and execution scheme. Program caches must include it in their keys
+// so artifacts are never reused across codegen changes.
+func CodegenTag() string { return "cg3" }
 
 // ExecStats aggregates superblock coverage counters across machines —
 // how much of the executed instruction stream ran fused and how often
 // specialized loop kernels hit. Machines flush into it on Release (and
 // on FlushExecStats); it is safe for concurrent use. Coverage is
-// deliberately kept out of Profile output so fused and per-instruction
-// runs stay bit-identical.
+// deliberately kept out of Profile output, which depends only on the
+// simulated machine.
 type ExecStats struct {
 	// TotalSteps counts interpreted IR instructions.
 	TotalSteps atomic.Uint64
@@ -204,10 +143,9 @@ func chainContains(chain []*blockPlan, bp *blockPlan) bool {
 // flushPending charges the deferred uops of the current region through
 // the core in one call and advances the flush cursor. It is called at
 // region exits, before calls (so callee-side clock reads and charges
-// interleave exactly like the per-instruction path), per block while
-// sampling, and from Run's trap recovery (the pending prefix is
-// exactly the set the per-instruction path would have charged before
-// the trap).
+// interleave in program order), and from Run's trap recovery (the
+// pending prefix is exactly the set of uops that completed before the
+// trap).
 func (m *Machine) flushPending() {
 	if m.pendN == 0 {
 		return
@@ -217,45 +155,29 @@ func (m *Machine) flushPending() {
 	m.pendFrom, m.pendN = n, 0
 }
 
-// callFused is the superblock counterpart of Machine.call: one
-// activation executed region-at-a-time, with charges deferred into the
-// pending buffers and batched through one ExecRegion call per region.
-// It is only entered while no overflow sampler is armed (call routes
-// sampling activations through the per-instruction loop), so block-edge
-// event flushes may be coalesced to region granularity: without an
-// armed sampler, event delivery is pure accumulation and the coalesced
-// totals are bit-identical. Per-block step budgeting is preserved
-// exactly.
+// callFused executes one activation region-at-a-time, with charges
+// deferred into the pending buffers and batched through one ExecRegion
+// call per region. Without an armed sampler, event delivery is pure
+// accumulation, so block-edge flushes are coalesced to region
+// granularity and self-loops may run as specialized kernels. An
+// activation that starts with a sampler armed runs each block as its
+// own region, preceded by a block boundary and the block's PC, so
+// samples fire and attribute exactly where a per-instruction loop
+// would deliver them. The sampling state only changes between runs or
+// inside an already-sampling run, so checking it once per activation is
+// stable for the whole activation tree. Per-block step budgeting is
+// exact either way.
 func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
-	if len(m.frames) >= maxCallDepth {
-		trapf("call depth exceeded in @%s", fp.fn.FName)
-	}
-	m.frameSeq++
-	var fr *frame
-	if pool := m.framePools[fp.index]; len(pool) > 0 {
-		fr = pool[len(pool)-1]
-		m.framePools[fp.index] = pool[:len(pool)-1]
-	} else {
-		fr = &frame{
-			fp:    fp,
-			regs:  make([]uint64, fp.numRegs),
-			vregs: make([][]uint64, fp.numRegs),
-		}
-	}
-	fr.salt = m.frameSeq * 251
-	fr.stackSave = m.stackTop
-	fr.curPC = fp.base
-	fr.retVal, fr.retVec = 0, nil
-	copy(fr.regs, args)
-	m.frames = append(m.frames, fr)
-
+	fr := m.pushFrame(fp, args)
 	core := m.hart.Core
-	savedDeferring := m.deferring
-	m.deferring = true
+	sampling := core.SamplingActive()
 
 	bp := fp.entry
 	for {
-		if kern := bp.kernel; kern != nil {
+		chain, tmpl := bp.chain, bp.chainTmpl
+		if sampling {
+			chain, tmpl = chain[:1], bp.tmpl
+		} else if kern := bp.kernel; kern != nil {
 			if next := kern(m, fr, bp); next != nil {
 				if next == retMarker {
 					break
@@ -266,11 +188,10 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 			// Kernel declined (shape guard failed at runtime); fall
 			// through to the generic region executor.
 		}
-		chain := bp.chain
-		if len(m.pendDyn) < len(bp.chainTmpl) {
-			m.pendDyn = make([]machine.RegionDyn, len(bp.chainTmpl)+64)
+		if len(m.pendDyn) < len(tmpl) {
+			m.pendDyn = make([]machine.RegionDyn, len(tmpl)+64)
 		}
-		m.pendTmpl = bp.chainTmpl
+		m.pendTmpl = tmpl
 		m.pendFrom, m.pendN = 0, 0
 		m.pendSalt = fr.salt
 
@@ -281,6 +202,13 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 				trapf("step budget exceeded (%d)", m.MaxSteps)
 			}
 			m.fusedSteps += uint64(len(cb.steps))
+			if sampling {
+				// Flush before moving the PC: samples fired by the
+				// flush attribute the previous block's cycles to the
+				// block (and frame) that accumulated them.
+				core.BlockBoundary()
+				core.SetPC(cb.pc)
+			}
 			fr.curPC = cb.pc
 
 			steps := cb.steps
@@ -308,9 +236,6 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	// Deliver batched deltas before control leaves the frame, so
 	// callers (and post-run counter reads) see settled values.
 	core.FlushEvents()
-	m.deferring = savedDeferring
-	m.frames = m.frames[:len(m.frames)-1]
-	m.stackTop = fr.stackSave
-	m.framePools[fp.index] = append(m.framePools[fp.index], fr)
+	m.popFrame(fr)
 	return fr.retVal, fr.retVec
 }

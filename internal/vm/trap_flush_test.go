@@ -16,8 +16,9 @@ import (
 // delivers everything the core charged before it: counting around a
 // stream_add run cut short by the step budget, every counter must equal
 // the core's own Stats delta over the run, on the in-order and the
-// out-of-order model, in both codegen modes, for a time-only event set
-// and for one that also counts branches and cache events.
+// out-of-order model, on the superblock executor and the per-instruction
+// reference dispatcher, for a time-only event set and for one that
+// also counts branches and cache events.
 func TestTrapFlushesCounters(t *testing.T) {
 	spec, err := workloads.Lookup("stream_add", workloads.Params{Elems: 4096})
 	if err != nil {
@@ -38,17 +39,17 @@ func TestTrapFlushesCounters(t *testing.T) {
 			isa.EventCacheMisses.String():        after.L1DMisses - before.L1DMisses,
 		}
 	}
-	for _, codegen := range []string{"superblocks", "per-instruction"} {
-		if codegen == "per-instruction" {
-			t.Setenv("MPERF_NO_SUPERBLOCK", "1")
-		}
+	for _, dispatch := range []string{"superblocks", "per-instruction"} {
 		for _, plat := range []*platform.Platform{platform.X60(), platform.I5_1135G7()} {
 			prog, err := spec.BuildProgram(plat, false, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, events := range eventSets {
-				t.Run(codegen+"/"+plat.Name+"/"+name, func(t *testing.T) {
+				t.Run(dispatch+"/"+plat.Name+"/"+name, func(t *testing.T) {
+					if dispatch == "per-instruction" {
+						vm.UseReferenceDispatch(t)
+					}
 					m := vm.NewMachine(prog, plat)
 					defer m.Release()
 					m.MaxSteps = 20_000

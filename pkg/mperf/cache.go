@@ -32,11 +32,11 @@ type ProgramKey struct {
 	Lanes   int
 	// Instrument records whether the roofline instrumentation pass ran.
 	Instrument bool
-	// Codegen is the VM's codegen tag (vm.CodegenTag()): plan scheme
-	// version plus the superblock-fusion flag. Folding it into the key
-	// guarantees a cached program is never reused across a codegen
-	// change or an MPERF_NO_SUPERBLOCK toggle — in memory and on disk
-	// alike, since the disk store addresses entries by this string.
+	// Codegen is the VM's codegen tag (vm.CodegenTag()), the plan
+	// scheme version. Folding it into the key guarantees a cached
+	// program is never reused across a codegen change — in memory and
+	// on disk alike, since the disk store addresses entries by this
+	// string.
 	Codegen string
 }
 

@@ -1,6 +1,7 @@
 package mperf_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,10 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"mperf/internal/ir"
 	"mperf/internal/platform"
 	"mperf/internal/vm"
 	"mperf/internal/workloads"
 	"mperf/pkg/mperf"
+	"mperf/pkg/mperf/store"
 )
 
 // buildDot returns a build function for a small dot-product program,
@@ -139,6 +142,66 @@ func TestCacheDiskCorruptionRecompiles(t *testing.T) {
 	}
 	if _, src, err := again.Get(diskKey, build); err != nil || src != mperf.SourceDisk {
 		t.Fatalf("refreshed entry: src=%v err=%v, want a disk hit", src, err)
+	}
+}
+
+// version1Artifact lays out prog by hand in the version-1 artifact
+// format: version byte, superblock flag, hot-function flag, then the
+// module and the data image, each behind a uvarint length.
+func version1Artifact(t *testing.T, prog *vm.Program) []byte {
+	t.Helper()
+	_, img, err := vm.EncodeArtifactParts(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := ir.EncodeModule(prog.Module())
+	out := []byte{1, 1, 0}
+	out = binary.AppendUvarint(out, uint64(len(mod)))
+	out = append(out, mod...)
+	out = binary.AppendUvarint(out, uint64(len(img)))
+	return append(out, img...)
+}
+
+// TestCacheDiskVersion1Recompiles pins the artifact-version upgrade
+// path: an intact store entry in the version-1 layout fails to decode
+// with vm.ErrArtifactVersion, and the cache treats it as a disk miss —
+// it recompiles and overwrites the entry in the current layout.
+func TestCacheDiskVersion1Recompiles(t *testing.T) {
+	dir := t.TempDir()
+	var builds atomic.Int32
+	build := buildDot(t, &builds)
+	prog, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := version1Artifact(t, prog)
+	if _, err := vm.DecodeArtifact(v1); !errors.Is(err, vm.ErrArtifactVersion) {
+		t.Fatalf("version-1 artifact: decode error %v, want vm.ErrArtifactVersion", err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(diskKey.String(), v1); err != nil {
+		t.Fatal(err)
+	}
+
+	c := mperf.NewProgramCache()
+	if err := c.SetArtifactDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, src, err := c.Get(diskKey, build); err != nil || src != mperf.SourceCompiled {
+		t.Fatalf("version-1 entry: src=%v err=%v, want a silent recompile", src, err)
+	}
+	if builds.Load() != 2 {
+		t.Fatalf("builds = %d, want 2 (setup + recompile)", builds.Load())
+	}
+	again := mperf.NewProgramCache()
+	if err := again.SetArtifactDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, src, err := again.Get(diskKey, build); err != nil || src != mperf.SourceDisk {
+		t.Fatalf("rewritten entry: src=%v err=%v, want a disk hit", src, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mperf/internal/vm"
 	"mperf/internal/workloads"
 	"mperf/pkg/mperf"
 )
@@ -29,72 +30,28 @@ func catalogSession(t *testing.T, name string, opts ...mperf.Option) *mperf.Sess
 	return sess
 }
 
-// catalogProfileJSON runs every collector mode over one workload and
-// returns the canonical Profile JSON, with the compile accounting
-// (which legitimately differs between cold and warm caches) stripped.
-func catalogProfileJSON(t *testing.T, name string) []byte {
-	t.Helper()
-	sess := catalogSession(t, name, mperf.WithProgramCache(mperf.NewProgramCache()))
-	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
-	if err != nil {
-		t.Fatalf("%s: run: %v", name, err)
-	}
-	if err := prof.Err(); err != nil {
-		t.Fatalf("%s: collector errors: %v", name, err)
-	}
-	prof.CompileStats = nil
-	b, err := json.Marshal(prof)
-	if err != nil {
-		t.Fatalf("%s: marshal: %v", name, err)
-	}
-	return b
-}
-
-// TestSuperblockInvariance is the differential acceptance check of the
-// superblock executor: for every workload in the catalog, a run with
-// superblocks fused must produce bit-identical Profile JSON to a run
-// on the per-instruction path — across counting (stat), overflow
-// sampling (record), roofline and topdown collection.
-func TestSuperblockInvariance(t *testing.T) {
-	for _, name := range workloads.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Setenv("MPERF_NO_SUPERBLOCK", "")
-			fused := catalogProfileJSON(t, name)
-			t.Setenv("MPERF_NO_SUPERBLOCK", "1")
-			unfused := catalogProfileJSON(t, name)
-			if string(fused) != string(unfused) {
-				t.Errorf("profiles diverge between superblock and per-instruction execution\nfused:   %s\nunfused: %s",
-					fused, unfused)
-			}
-		})
-	}
-}
-
 // TestProgramKeyCodegen pins that the plan key is versioned by the VM
-// codegen: toggling the superblock escape hatch must change the key,
-// so a cached artifact can never be reused across codegen modes.
+// codegen: every key carries the single codegen tag, so a cached
+// artifact can never be reused across a codegen change.
 func TestProgramKeyCodegen(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
-	on := catalogSession(t, "dot").ProgramKey(false, false)
-	if on.Codegen != "cg2+sb" {
-		t.Errorf("fused codegen tag = %q, want cg2+sb", on.Codegen)
-	}
-	t.Setenv("MPERF_NO_SUPERBLOCK", "1")
-	off := catalogSession(t, "dot").ProgramKey(false, false)
-	if off.Codegen != "cg2" {
-		t.Errorf("per-instruction codegen tag = %q, want cg2", off.Codegen)
-	}
-	if on == off {
-		t.Errorf("plan keys collide across codegen modes: %+v", on)
+	sess := catalogSession(t, "dot")
+	for _, flavor := range []struct{ optimize, instrument bool }{{false, false}, {true, false}, {false, true}} {
+		key := sess.ProgramKey(flavor.optimize, flavor.instrument)
+		if key.Codegen != vm.CodegenTag() || key.Codegen != "cg3" {
+			t.Errorf("%+v: codegen tag = %q, want %q = cg3", flavor, key.Codegen, vm.CodegenTag())
+		}
+		if !strings.HasSuffix(key.String(), "|cg=cg3") {
+			t.Errorf("%+v: store key %q does not end in the codegen tag", flavor, key.String())
+		}
 	}
 }
 
-// TestExecStatsCoverage checks the -vm-stats plumbing: with superblocks
-// on, the session-level accumulator reports fused coverage after the
+// TestExecStatsCoverage checks the -vm-stats plumbing: the
+// session-level accumulator reports fused coverage after the
 // collectors release their machines, and none of it leaks into the
-// Profile JSON (the invariance test above pins the latter bit-exactly).
+// Profile JSON (TestSuperblockInvariance in internal/vm pins the
+// latter bit-exactly).
 func TestExecStatsCoverage(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
 	var st mperf.ExecStats
 	sess := catalogSession(t, "dot",
 		mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st))
@@ -132,7 +89,6 @@ func TestExecStatsCoverage(t *testing.T) {
 // (vocabulary drift, phi-copy hazard) fails loudly here rather than
 // showing up only as a benchmark regression.
 func TestKernelCoverage(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
 	for _, name := range []string{"triad", "memset", "matmul"} {
 		t.Run(name, func(t *testing.T) {
 			var st mperf.ExecStats
@@ -148,6 +104,31 @@ func TestKernelCoverage(t *testing.T) {
 			if hits, iters := st.KernelHits.Load(), st.KernelIters.Load(); hits == 0 || iters == 0 {
 				t.Errorf("specialized kernels never engaged: hits=%d iters=%d (total=%d fused=%d)",
 					hits, iters, st.TotalSteps.Load(), st.FusedSteps.Load())
+			}
+		})
+	}
+}
+
+// TestSamplingRunsFused pins that sampling activations run on the
+// superblock dispatch loop: a record-only run, whose every activation
+// starts with an overflow sampler armed, executes every step through
+// superblock regions.
+func TestSamplingRunsFused(t *testing.T) {
+	for _, name := range []string{"matmul", "sqlite"} {
+		t.Run(name, func(t *testing.T) {
+			var st mperf.ExecStats
+			sess := catalogSession(t, name,
+				mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st))
+			prof, err := sess.Run(mperf.MustCollectors("record")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prof.Err(); err != nil {
+				t.Fatal(err)
+			}
+			total, fusedN := st.TotalSteps.Load(), st.FusedSteps.Load()
+			if total == 0 || fusedN != total {
+				t.Errorf("record run: fused %d of %d steps, want all of them", fusedN, total)
 			}
 		})
 	}

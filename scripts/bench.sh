@@ -3,12 +3,12 @@
 # the four headline benchmarks (one per reproduced table/figure plus the
 # memset roof input), the program-cache trajectory benches, the daemon
 # load bench (200 concurrent HTTP clients against a warm mperfd), the
-# superblock micro-benches (fused vs per-instruction hot-loop dispatch),
-# and the artifact-store benches (warm start from serialized programs vs
-# a cold compile, and a sharded two-process sweep with merge). The
-# output file gets ns/op, the reproduced paper metrics, and the
-# speedup/metric drift against the baseline file (benches missing from
-# the baseline have no comparison).
+# superblock micro-benches (hot-loop dispatch through fused regions and
+# loop kernels, reported as sim-MIPS), and the artifact-store benches
+# (warm start from serialized programs vs a cold compile, and a sharded
+# two-process sweep with merge). The output file gets ns/op, the
+# reproduced paper metrics, and the speedup/metric drift against the
+# baseline file (benches missing from the baseline have no comparison).
 #
 # The daemon bench runs at a fixed iteration count so its cache-hit-rate
 # metric reflects steady-state serving, not a two-request sample.
