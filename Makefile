@@ -1,8 +1,9 @@
-# Developer entry points; CI runs build/test/bench-smoke.
+# Developer entry points; CI runs build/test/bench-smoke. The repository
+# benchmark is bash perfbench/run.sh (see perfbench/README.md).
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke vet
+.PHONY: build test bench-smoke vet
 
 build:
 	$(GO) build ./...
@@ -12,17 +13,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-# bench writes BENCH_OUT (headline, program-cache, daemon, superblock
-# dispatch and artifact-store benches, ns/op + the reproduced paper
-# metrics)
-# compared against the recorded run in BENCH_BASELINE, for example
-# make bench BENCH_OUT=BENCH_NEW.json BENCH_BASELINE=BENCH_PR9.json.
-BENCH_OUT ?= BENCH_NEW.json
-BENCH_BASELINE ?= BENCH_PR9.json
-
-bench:
-	sh scripts/bench.sh $(BENCH_OUT) $(BENCH_BASELINE)
 
 # bench-smoke runs every benchmark exactly once so they cannot bit-rot;
 # it is part of CI and takes a few seconds.

@@ -267,6 +267,34 @@ entry:
 	}
 }
 
+// TestParseQuotedStrings pins that Parse reads strings the way Print
+// writes them (Go %q quoting), so module names, source files and hint
+// keys holding quotes, backslashes or control bytes survive the round
+// trip. FuzzParse found the control-byte case.
+func TestParseQuotedStrings(t *testing.T) {
+	m := NewModule(`odd "name" \ here`)
+	f := buildSumFunc(m)
+	f.SourceFile = `C:\src\k.c`
+	f.SourceLine = 3
+	f.SetHint("trip.\x0f\"loop", 7)
+
+	text := Print(m)
+	m2, err := Parse(text)
+	if err != nil {
+		t.Fatalf("parse of printed module failed: %v\n%s", err, text)
+	}
+	f2 := m2.Funcs[0]
+	if m2.MName != m.MName || f2.SourceFile != f.SourceFile || f2.Hints["trip.\x0f\"loop"] != 7 {
+		t.Errorf("strings changed in the round trip: module %q, file %q, hints %v", m2.MName, f2.SourceFile, f2.Hints)
+	}
+	if text2 := Print(m2); text2 != text {
+		t.Errorf("print→parse→print not stable:\n--- first\n%s\n--- second\n%s", text, text2)
+	}
+	if _, err := Parse(`module "bad \q"`); err == nil {
+		t.Error("a malformed escape must be a parse error")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -75,14 +75,22 @@ func lex(src string) ([]token, error) {
 			}
 			i = j
 		case c == '"':
+			// Strings are Go-quoted, as Print writes them with %q.
 			j := i + 1
 			for j < len(src) && src[j] != '"' && src[j] != '\n' {
+				if src[j] == '\\' && j+1 < len(src) && src[j+1] != '\n' {
+					j++
+				}
 				j++
 			}
 			if j >= len(src) || src[j] != '"' {
 				return nil, fmt.Errorf("line %d: unterminated string", line)
 			}
-			emit(tString, src[i+1:j])
+			str, err := strconv.Unquote(src[i : j+1])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: malformed string %s", line, src[i:j+1])
+			}
+			emit(tString, str)
 			i = j + 1
 		case c == '-' && i+1 < len(src) && src[i+1] == '>':
 			emit(tPunct, "->")

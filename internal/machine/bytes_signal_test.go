@@ -58,3 +58,72 @@ func TestByteSignalsMatchStats(t *testing.T) {
 		})
 	}
 }
+
+// TestByteSignalsAcrossCacheReset pins the counter contract of
+// Hierarchy.Reset: emptying the caches between two runs of the same
+// load/store stream (as roofline.RunTwoPhase does between its phases)
+// leaves the hierarchy's byte counters running, so the core's Stats,
+// which read them, count both runs, and the byte signals flushed
+// across the Reset are exact deltas rather than wrapped-around ones —
+// with a per-uop flushing sink and with a batching one, on both
+// pipeline kinds.
+func TestByteSignalsAcrossCacheReset(t *testing.T) {
+	sinks := []struct {
+		name string
+		new  func() (EventSink, *recordingSink)
+	}{
+		{"per-uop", func() (EventSink, *recordingSink) { s := &recordingSink{}; return s, s }},
+		{"batched", func() (EventSink, *recordingSink) { s := &applyLog{}; return s, &s.recordingSink }},
+	}
+	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
+		for _, sk := range sinks {
+			t.Run(cfg.Name+"/"+sk.name, func(t *testing.T) {
+				sink, totals := sk.new()
+				c := NewCore(cfg, sink)
+				run := func() {
+					seed := uint64(7)
+					next := func() uint64 {
+						seed = seed*6364136223846793005 + 1442695040888963407
+						return seed >> 33
+					}
+					for i := 0; i < 8192; i++ {
+						u := Uop{Src1: -1, Src2: -1, Src3: -1, Dst: -1}
+						u.Addr = 0x4000 + (next() % (1 << 18))
+						u.Size = 1 << (next() % 4)
+						if next()%3 == 0 {
+							u.Class = OpStore
+							u.Src1 = int32(next() % 32)
+						} else {
+							u.Class = OpLoad
+							u.Dst = int32(next() % 32)
+						}
+						c.Exec(&u)
+					}
+					c.FlushEvents()
+				}
+				byteStats := func(st Stats) [3]uint64 { return [3]uint64{st.L1DBytes, st.L2Bytes, st.DRAMBytes} }
+
+				run()
+				first := byteStats(c.Stats())
+				if first[0] == 0 || first[1] == 0 || first[2] == 0 {
+					t.Fatalf("first run charged no traffic: %v", first)
+				}
+				c.Mem().Reset()
+				run()
+
+				got := byteStats(c.Stats())
+				h := c.Mem()
+				if hier := [3]uint64{h.L1Bytes, h.L2Bytes, h.DRAM().Bytes}; got != hier {
+					t.Errorf("stats bytes %v diverge from hierarchy %v", got, hier)
+				}
+				if want := [3]uint64{2 * first[0], 2 * first[1], 2 * first[2]}; got != want {
+					t.Errorf("stats bytes %v after a cache reset, want twice the first run %v", got, want)
+				}
+				signals := [3]uint64{totals.totals[isa.SigL1DBytes], totals.totals[isa.SigL2Bytes], totals.totals[isa.SigDRAMBytes]}
+				if signals != got {
+					t.Errorf("byte signals %v diverge from stats %v", signals, got)
+				}
+			})
+		}
+	}
+}

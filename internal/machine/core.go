@@ -57,7 +57,10 @@ type EventSink interface {
 const scoreboardSize = 1024 // power of two; slots are hashed with a mask
 
 // Stats aggregates a core's architectural and microarchitectural
-// activity since the last Reset.
+// activity since construction. The core counts most fields itself; a
+// snapshot (Core.Stats) fills Branches and Mispredicts from the branch
+// predictor and the three byte counts from the memory hierarchy, which
+// is the only place that counts memory traffic.
 type Stats struct {
 	Cycles      uint64
 	Instret     uint64
@@ -74,9 +77,9 @@ type Stats struct {
 	IntOps      uint64
 	L1DMisses   uint64
 	L2Misses    uint64
-	L1DBytes    uint64 // bytes demanded of L1D by loads/stores
-	L2Bytes     uint64 // bytes moved on the L1D<->L2 bus
-	DRAMBytes   uint64
+	L1DBytes    uint64 // bytes demanded of L1D by loads/stores (Hierarchy.L1Bytes)
+	L2Bytes     uint64 // bytes moved on the L1D<->L2 bus (Hierarchy.L2Bytes)
+	DRAMBytes   uint64 // bytes moved on the memory channel (DRAM.Bytes)
 	TimerTicks  uint64
 }
 
@@ -201,6 +204,9 @@ func (c *Core) Stats() Stats {
 	s.Instret = c.instretFx >> 8
 	s.Branches = c.bp.Branches
 	s.Mispredicts = c.bp.Mispredicts
+	s.L1DBytes = c.memh.L1Bytes
+	s.L2Bytes = c.memh.L2Bytes
+	s.DRAMBytes = c.memh.DRAM().Bytes
 	return s
 }
 
@@ -258,11 +264,14 @@ func (c *Core) RefreshSinkMask() {
 // flush to the sink as one batch, rebuilt from the flush marks: first
 // the time signals (cycles, instret, the mode cycles, with timer
 // handler time charged to S-mode), then every other watched signal
-// from the Stats mark, in a fixed order. Sampling overflow fires here,
-// so callers must flush before reading counters or changing the sink
-// configuration. The time marks advance unconditionally, so enabling
-// counters mid-session never replays history. A uop-by-uop flush
-// produces exactly the batches a per-uop observer would see.
+// as the difference between a Stats snapshot and the Stats mark, in a
+// fixed order. The byte signals are thus deltas of the hierarchy's
+// own counters, which keep running across Hierarchy.Reset. Sampling
+// overflow fires here, so callers must flush before reading counters
+// or changing the sink configuration. The time marks advance
+// unconditionally, so enabling counters mid-session never replays
+// history. A uop-by-uop flush produces exactly the batches a per-uop
+// observer would see.
 func (c *Core) FlushEvents() {
 	cycleDelta := c.cycles - c.flushCycles
 	instret := c.instretFx >> 8
@@ -303,14 +312,14 @@ func (c *Core) FlushEvents() {
 	}
 	b.AddWatched(mask, isa.SigSModeCycle, timerCycles)
 	if counting {
-		now, was := &c.stats, &c.flushStats
+		now, was := c.Stats(), &c.flushStats
 		loads, stores := now.Loads-was.Loads, now.Stores-was.Stores
 		l1Misses := now.L1DMisses - was.L1DMisses
 		b.AddWatched(mask, isa.SigLoad, loads)
 		b.AddWatched(mask, isa.SigStore, stores)
 		b.AddWatched(mask, isa.SigL1DAccess, loads+stores)
-		b.AddWatched(mask, isa.SigBranch, c.bp.Branches-was.Branches)
-		b.AddWatched(mask, isa.SigBranchMiss, c.bp.Mispredicts-was.Mispredicts)
+		b.AddWatched(mask, isa.SigBranch, now.Branches-was.Branches)
+		b.AddWatched(mask, isa.SigBranchMiss, now.Mispredicts-was.Mispredicts)
 		b.AddWatched(mask, isa.SigL1DMiss, l1Misses)
 		b.AddWatched(mask, isa.SigL2Access, l1Misses)
 		b.AddWatched(mask, isa.SigL2Miss, now.L2Misses-was.L2Misses)
@@ -323,54 +332,22 @@ func (c *Core) FlushEvents() {
 		b.AddWatched(mask, isa.SigFPFlop, now.Flops-was.Flops)
 		b.AddWatched(mask, isa.SigSpecFlop, now.SpecFlops-was.SpecFlops)
 		b.AddWatched(mask, isa.SigIntOp, now.IntOps-was.IntOps)
-		c.markStats()
+		c.flushStats = now
 	}
 	if b.N > 0 {
 		c.sink.Apply(b)
 	}
 }
 
-// markStats advances the Stats flush mark to the current statistics.
-// Cycles and instret have their own marks; the branch counts live in
-// the predictor.
-func (c *Core) markStats() {
-	c.flushStats = c.stats
-	c.flushStats.Branches, c.flushStats.Mispredicts = c.bp.Branches, c.bp.Mispredicts
-}
+// markStats advances the Stats flush mark to a current snapshot.
+// Cycles and instret have their own marks.
+func (c *Core) markStats() { c.flushStats = c.Stats() }
 
 // BlockBoundary marks a basic-block transition: batched deltas are
 // flushed and the sink mask is re-read.
 func (c *Core) BlockBoundary() {
 	c.FlushEvents()
 	c.RefreshSinkMask()
-}
-
-// Reset returns the core to its post-construction state.
-func (c *Core) Reset() {
-	c.cycles = 0
-	c.issued = 0
-	c.instretFx = 0
-	c.fracCycle = 0
-	c.replayFP = 0
-	c.priv = isa.PrivU
-	c.pc = 0
-	for i := range c.ready {
-		c.ready[i] = 0
-	}
-	for i := range c.storeBuf {
-		c.storeBuf[i] = 0
-	}
-	c.storeHead = 0
-	c.bp.reset()
-	c.memh.Reset()
-	c.stats = Stats{}
-	c.sinkMaskValid = false
-	c.flushCycles, c.flushInstret, c.timerSinceFlush = 0, 0, 0
-	c.flushStats = Stats{}
-	c.nextTimer = 0
-	if c.cfg.TimerIntervalCycles > 0 {
-		c.nextTimer = c.cfg.TimerIntervalCycles
-	}
 }
 
 // Exec charges one micro-op whose register slots are already salted:
@@ -399,8 +376,8 @@ func (c *Core) Exec(u *Uop) {
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
 
-// chargeQuietAccess folds a memory access's event counts into the
-// statistics.
+// chargeQuietAccess counts a memory access's miss events. Its bytes
+// are already counted by the hierarchy.
 func (c *Core) chargeQuietAccess(access mem.AccessResult) {
 	if access.L1Miss {
 		c.stats.L1DMisses++
@@ -408,7 +385,4 @@ func (c *Core) chargeQuietAccess(access mem.AccessResult) {
 	if access.L2Miss {
 		c.stats.L2Misses++
 	}
-	c.stats.L1DBytes += access.L1Bytes
-	c.stats.L2Bytes += access.L2Bytes
-	c.stats.DRAMBytes += access.DRAMBytes
 }

@@ -456,22 +456,6 @@ func TestSpecFlopsNoOvercountWhenResident(t *testing.T) {
 	}
 }
 
-func TestResetRestoresCore(t *testing.T) {
-	c := NewCore(inOrderConfig(), nil)
-	for i := 0; i < 100; i++ {
-		c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1,
-			Addr: uint64(i * 64), Size: 8})
-	}
-	c.Reset()
-	if c.Cycles() != 0 || c.Instret() != 0 {
-		t.Error("reset must zero counters")
-	}
-	st := c.Stats()
-	if st.Loads != 0 || st.L1DMisses != 0 {
-		t.Error("reset must zero statistics")
-	}
-}
-
 func TestCyclesMonotoneProperty(t *testing.T) {
 	c := NewCore(inOrderConfig(), nil)
 	classes := []OpClass{OpIntALU, OpIntMul, OpLoad, OpStore, OpBranch, OpFMA, OpIntDiv}

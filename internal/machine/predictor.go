@@ -88,19 +88,6 @@ func (p *branchPredictor) indirect(brID uint32, target uint64) bool {
 	return false
 }
 
-func (p *branchPredictor) reset() {
-	for i := range p.dir {
-		p.dir[i] = 2
-	}
-	for i := range p.btb {
-		p.btb[i] = 0
-	}
-	p.history = 0
-	p.ihist = 0
-	p.Branches = 0
-	p.Mispredicts = 0
-}
-
 func b2u(b bool) uint32 {
 	if b {
 		return 1

@@ -22,6 +22,8 @@ func refExec(c *Core, sink EventSink, u *Uop) {
 	startCycles := c.cycles
 	startInstret := c.instretFx >> 8
 	startStalls := c.stats.StallCycles
+	h := c.memh
+	startBytes := [3]uint64{h.L1Bytes, h.L2Bytes, h.DRAM().Bytes}
 
 	var access mem.AccessResult
 	var mispredict bool
@@ -30,6 +32,7 @@ func refExec(c *Core, sink EventSink, u *Uop) {
 	} else {
 		access, mispredict = refOutOfOrder(c, u)
 	}
+	bytes := [3]uint64{h.L1Bytes - startBytes[0], h.L2Bytes - startBytes[1], h.DRAM().Bytes - startBytes[2]}
 
 	// Retired-instruction accounting via per-class expansion.
 	c.instretFx += uint64(c.cfg.expansion(u.Class))
@@ -46,7 +49,7 @@ func refExec(c *Core, sink EventSink, u *Uop) {
 		c.stats.TimerTicks++
 	}
 
-	refEmit(c, sink, u, startCycles, startInstret, startStalls, access, mispredict, timerCycles)
+	refEmit(c, sink, u, startCycles, startInstret, startStalls, access, bytes, mispredict, timerCycles)
 }
 
 // refInOrder charges time through the register scoreboard.
@@ -169,9 +172,11 @@ func refOutOfOrder(c *Core, u *Uop) (access mem.AccessResult, mispredict bool) {
 }
 
 // refEmit folds the uop's effects into statistics and delivers its
-// watched signals to sink as one batch.
+// watched signals to sink as one batch. bytes holds the uop's L1D, L2
+// and DRAM traffic, read from the hierarchy's counters around the
+// access.
 func refEmit(c *Core, sink EventSink, u *Uop, startCycles, startInstret, startStalls uint64,
-	access mem.AccessResult, mispredict bool, timerCycles uint64) {
+	access mem.AccessResult, bytes [3]uint64, mispredict bool, timerCycles uint64) {
 
 	cycleDelta := c.cycles - startCycles
 	instretDelta := (c.instretFx >> 8) - startInstret
@@ -193,9 +198,6 @@ func refEmit(c *Core, sink EventSink, u *Uop, startCycles, startInstret, startSt
 	if access.L2Miss {
 		c.stats.L2Misses++
 	}
-	c.stats.L1DBytes += access.L1Bytes
-	c.stats.L2Bytes += access.L2Bytes
-	c.stats.DRAMBytes += access.DRAMBytes
 
 	switch u.Class {
 	case OpLoad, OpVecLoad:
@@ -252,9 +254,9 @@ func refEmit(c *Core, sink EventSink, u *Uop, startCycles, startInstret, startSt
 		b.AddWatched(mask, isa.SigL2Miss, 1)
 	}
 	b.AddWatched(mask, isa.SigStall, stallDelta)
-	b.AddWatched(mask, isa.SigDRAMBytes, access.DRAMBytes)
-	b.AddWatched(mask, isa.SigL1DBytes, access.L1Bytes)
-	b.AddWatched(mask, isa.SigL2Bytes, access.L2Bytes)
+	b.AddWatched(mask, isa.SigDRAMBytes, bytes[2])
+	b.AddWatched(mask, isa.SigL1DBytes, bytes[0])
+	b.AddWatched(mask, isa.SigL2Bytes, bytes[1])
 	if u.Class.IsFP() {
 		if u.Class.IsVector() {
 			b.AddWatched(mask, isa.SigVecFPOp, 1)

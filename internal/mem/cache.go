@@ -75,11 +75,6 @@ type Cache struct {
 	used  []uint64 // LRU timestamps
 
 	tick uint64 // monotonically increasing use counter
-
-	// Statistics.
-	Accesses uint64
-	Misses   uint64
-	Evicts   uint64
 }
 
 // NewCache builds a cache level; it panics on invalid configuration
@@ -119,8 +114,8 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // Lookup probes the cache for the line containing addr. On a hit it
 // refreshes the LRU state (and marks the line dirty if write) and
 // returns true. It does not allocate on miss; use Fill for that.
+// The cache keeps no statistics: the Hierarchy counts demand traffic.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
-	c.Accesses++
 	tag := addr >> c.lineShift
 	set := int(tag & c.setMask)
 	base := set * c.cfg.Ways
@@ -137,7 +132,6 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 			return true
 		}
 	}
-	c.Misses++
 	return false
 }
 
@@ -163,9 +157,6 @@ func (c *Cache) Fill(addr uint64, write bool) (evicted uint64, dirtyEvict bool, 
 	hadVictim = true
 	evicted = c.tags[victim] >> 1 << c.lineShift
 	dirtyEvict = c.dirty[victim]
-	if hadVictim {
-		c.Evicts++
-	}
 install:
 	c.tick++
 	c.tags[victim] = tag<<1 | 1
@@ -175,7 +166,7 @@ install:
 }
 
 // Contains reports whether the line holding addr is resident, without
-// disturbing LRU state or statistics. Intended for tests.
+// disturbing LRU state. Intended for tests.
 func (c *Cache) Contains(addr uint64) bool {
 	tag := addr >> c.lineShift
 	set := int(tag & c.setMask)
@@ -188,7 +179,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines.
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
@@ -196,15 +187,4 @@ func (c *Cache) Reset() {
 		c.used[i] = 0
 	}
 	c.tick = 0
-	c.Accesses = 0
-	c.Misses = 0
-	c.Evicts = 0
-}
-
-// MissRatio returns misses/accesses, or 0 when idle.
-func (c *Cache) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }

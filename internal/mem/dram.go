@@ -18,9 +18,9 @@ type DRAM struct {
 	cfg     DRAMConfig
 	busFree uint64 // first cycle at which the channel is idle
 
-	// Statistics.
-	Bytes     uint64 // total bytes transferred
-	Transfers uint64
+	// Bytes counts every byte the channel has moved since construction.
+	// It is the hierarchy's DRAM traffic counter and never resets.
+	Bytes uint64
 }
 
 // NewDRAM builds a channel model; it panics on non-positive bandwidth
@@ -49,13 +49,5 @@ func (d *DRAM) Transfer(now uint64, size int) uint64 {
 	}
 	d.busFree = start + occupancy
 	d.Bytes += uint64(size)
-	d.Transfers++
 	return (start - now) + d.cfg.Latency + occupancy
-}
-
-// Reset clears channel occupancy and statistics.
-func (d *DRAM) Reset() {
-	d.busFree = 0
-	d.Bytes = 0
-	d.Transfers = 0
 }

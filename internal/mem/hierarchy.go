@@ -1,8 +1,9 @@
 package mem
 
-// AccessResult reports what a memory access cost and where it was
-// served from. The core model folds Latency into the pipeline; the
-// event counts feed the PMU signals.
+// AccessResult reports what a memory access cost and whether it
+// missed. The core model folds the latencies into the pipeline and
+// counts the miss flags as PMU events. It carries no byte counts: the
+// bytes an access moves are added to the Hierarchy's counters.
 type AccessResult struct {
 	Latency uint64 // total cycles until data available
 	// PostedLatency is the cost with the fixed DRAM access latency
@@ -10,11 +11,8 @@ type AccessResult struct {
 	// through this figure — a posted write does not wait for the DRAM
 	// round trip, only for bandwidth.
 	PostedLatency uint64
-	L1Miss        bool   // missed in L1D
-	L2Miss        bool   // missed in L2 (implies DRAM traffic)
-	L1Bytes       uint64 // bytes demanded of L1D (the access itself)
-	L2Bytes       uint64 // bytes moved between L1D and L2 (fills + writebacks)
-	DRAMBytes     uint64 // bytes moved on the memory channel
+	L1Miss        bool // missed in L1D
+	L2Miss        bool // missed in L2 (implies DRAM traffic)
 }
 
 // HierarchyConfig describes a two-level cache hierarchy over DRAM.
@@ -30,6 +28,12 @@ type HierarchyConfig struct {
 // Hierarchy is the per-core memory system: L1D backed by L2 backed by a
 // DRAM channel. It is not safe for concurrent use; each simulated core
 // owns one.
+//
+// The Hierarchy is the only place that counts memory traffic. Its
+// exported counters and the channel's Bytes run from construction and
+// only ever grow; readers (the core's Stats, the PMU's byte signals,
+// the roofline runtime's per-region traffic) take them as snapshots or
+// deltas. Reset empties the caches but leaves every counter running.
 type Hierarchy struct {
 	l1d  *Cache
 	l2   *Cache
@@ -37,13 +41,15 @@ type Hierarchy struct {
 
 	lineSize uint64
 
-	// Statistics beyond the per-level counters.
+	// WriteBacks counts dirty victims written back to DRAM.
 	WriteBacks uint64
 
 	// Per-level traffic attribution. The Accesses/Hits pairs count
 	// demand lookups only (no writeback or fill probes), so the
 	// conservation law L1Accesses == L1Hits + L2Accesses holds exactly.
-	// The byte counters aggregate the per-access L1Bytes/L2Bytes fields.
+	// L1Bytes is the demand footprint of every access; L2Bytes counts
+	// the lines crossing the L1D<->L2 bus (refills and writebacks).
+	// DRAM traffic is DRAM().Bytes.
 	L1Accesses uint64
 	L1Hits     uint64
 	L2Accesses uint64
@@ -74,41 +80,31 @@ func (h *Hierarchy) DRAM() *DRAM { return h.dram }
 // Access performs a data access of size bytes at addr starting at cycle
 // now. Accesses that straddle line boundaries touch every affected
 // line; the returned latency is the maximum of the per-line latencies
-// (lines are fetched in parallel across banks in this model) and the
-// event counts are the sums.
+// (lines are fetched in parallel across banks in this model) and a
+// miss on any line is a miss of the access.
 func (h *Hierarchy) Access(now uint64, addr uint64, size int, write bool) AccessResult {
 	if size <= 0 {
 		return AccessResult{}
 	}
+	h.L1Bytes += uint64(size)
 	first := h.l1d.LineAddr(addr)
 	last := h.l1d.LineAddr(addr + uint64(size) - 1)
 	if first == last {
 		// Fast path: the overwhelmingly common single-line access needs
 		// no straddle loop or per-line result merging.
-		res := h.accessLine(now, first, write)
-		res.L1Bytes = uint64(size)
-		h.L1Bytes += res.L1Bytes
-		return res
+		return h.accessLine(now, first, write)
 	}
 	var res AccessResult
 	for line := first; ; line += h.lineSize {
 		r := h.accessLine(now, line, write)
-		if r.Latency > res.Latency {
-			res.Latency = r.Latency
-		}
-		if r.PostedLatency > res.PostedLatency {
-			res.PostedLatency = r.PostedLatency
-		}
-		res.L2Bytes += r.L2Bytes
-		res.DRAMBytes += r.DRAMBytes
+		res.Latency = max(res.Latency, r.Latency)
+		res.PostedLatency = max(res.PostedLatency, r.PostedLatency)
 		res.L1Miss = res.L1Miss || r.L1Miss
 		res.L2Miss = res.L2Miss || r.L2Miss
 		if line == last {
 			break
 		}
 	}
-	res.L1Bytes = uint64(size)
-	h.L1Bytes += res.L1Bytes
 	return res
 }
 
@@ -121,7 +117,8 @@ func (h *Hierarchy) accessLine(now uint64, line uint64, write bool) AccessResult
 		return AccessResult{Latency: lat, PostedLatency: lat}
 	}
 	// The miss is refilled from L2: one line crosses the L1<->L2 bus.
-	res := AccessResult{L1Miss: true, L2Bytes: h.lineSize}
+	res := AccessResult{L1Miss: true}
+	h.L2Bytes += h.lineSize
 	h.L2Accesses++
 	if h.l2.Lookup(line, false) {
 		h.L2Hits++
@@ -132,43 +129,37 @@ func (h *Hierarchy) accessLine(now uint64, line uint64, write bool) AccessResult
 		res.Latency = h.dram.Transfer(now, int(h.lineSize))
 		// Queueing + occupancy only: posted stores do not pay the DRAM
 		// round-trip latency.
-		res.PostedLatency = res.Latency - h.dram.Config().Latency
-		res.DRAMBytes = h.lineSize
+		res.PostedLatency = res.Latency - h.dram.cfg.Latency
 		// Install in L2; a dirty L2 victim is written back to DRAM.
-		if ev, dirty, had := h.l2.Fill(line, false); had && dirty {
-			_ = ev
-			h.WriteBacks++
-			h.dram.Transfer(now, int(h.lineSize))
-			res.DRAMBytes += h.lineSize
+		if _, dirty, had := h.l2.Fill(line, false); had && dirty {
+			h.writeBack(now)
 		}
 	}
 	// Install in L1; a dirty L1 victim is written back to L2 (which may
 	// in turn evict to DRAM). The victim line crosses the L1<->L2 bus.
 	if ev, dirty, had := h.l1d.Fill(line, write); had && dirty {
-		res.L2Bytes += h.lineSize
+		h.L2Bytes += h.lineSize
 		if !h.l2.Lookup(ev, true) {
-			if ev2, dirty2, had2 := h.l2.Fill(ev, true); had2 && dirty2 {
-				_ = ev2
-				h.WriteBacks++
-				h.dram.Transfer(now, int(h.lineSize))
-				res.DRAMBytes += h.lineSize
+			if _, dirty2, had2 := h.l2.Fill(ev, true); had2 && dirty2 {
+				h.writeBack(now)
 			}
 		}
 	}
-	h.L2Bytes += res.L2Bytes
 	return res
 }
 
-// Reset restores the hierarchy to the post-construction state.
+// writeBack sends one dirty L2 victim line over the memory channel.
+func (h *Hierarchy) writeBack(now uint64) {
+	h.WriteBacks++
+	h.dram.Transfer(now, int(h.lineSize))
+}
+
+// Reset empties both caches and idles the memory channel, as a cache
+// flush between two runs would. Like hardware counters across a flush,
+// the traffic counters keep running: a reader that took a snapshot
+// before the Reset still gets an exact delta after it.
 func (h *Hierarchy) Reset() {
 	h.l1d.Reset()
 	h.l2.Reset()
-	h.dram.Reset()
-	h.WriteBacks = 0
-	h.L1Accesses = 0
-	h.L1Hits = 0
-	h.L2Accesses = 0
-	h.L2Hits = 0
-	h.L1Bytes = 0
-	h.L2Bytes = 0
+	h.dram.busFree = 0
 }

@@ -75,8 +75,9 @@ func (r *RunResult) LoopByFunc(name string) (*LoopResult, bool) {
 func RunTwoPhase(m *vm.Machine, entry string, args []uint64) (*RunResult, error) {
 	rt := mperfrt.New(func() uint64 { return m.Hart().Core.Cycles() })
 	// The traffic probe reads the hierarchy's cumulative per-level byte
-	// counters; the runtime snapshots them around each activation. Pure
-	// observation: the execution path is identical with or without it.
+	// counters, which the cache resets below leave running; the runtime
+	// snapshots them around each activation. Pure observation: the
+	// execution path is identical with or without it.
 	hier := m.Hart().Core.Mem()
 	rt.SetTrafficProbe(func() (uint64, uint64, uint64) {
 		return hier.L1Bytes, hier.L2Bytes, hier.DRAM().Bytes

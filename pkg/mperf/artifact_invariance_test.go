@@ -35,31 +35,25 @@ func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
 }
 
 // TestArtifactInvariance is the differential acceptance check of the
-// artifact store: for every workload in the catalog, in both codegen
-// modes, a profile produced from a disk-loaded program (serialize →
-// deserialize → re-plan) is bit-identical to one produced by a cold
-// in-process compile — across counting (stat), overflow sampling
-// (record), roofline and topdown collection.
+// artifact store: for every workload in the catalog, a profile
+// produced from a disk-loaded program (serialize → deserialize →
+// re-plan) is bit-identical to one produced by a cold in-process
+// compile — across counting (stat), overflow sampling (record),
+// roofline and topdown collection.
 func TestArtifactInvariance(t *testing.T) {
-	for _, mode := range []struct{ name, env string }{
-		{"superblocks", ""},
-		{"per-instruction", "1"},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, name := range workloads.Names() {
-				t.Run(name, func(t *testing.T) {
-					t.Setenv("MPERF_NO_SUPERBLOCK", mode.env)
-					dir := t.TempDir()
-					cold := catalogDiskProfileJSON(t, name, dir) // compiles, persists
-					warm := catalogDiskProfileJSON(t, name, dir) // fresh cache: loads from disk
-					if string(cold) != string(warm) {
-						t.Errorf("profile from disk-loaded program diverges from cold compile\ncold: %s\nwarm: %s",
-							cold, warm)
-					}
-				})
-			}
-		})
-	}
+	t.Run("superblocks", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				cold := catalogDiskProfileJSON(t, name, dir) // compiles, persists
+				warm := catalogDiskProfileJSON(t, name, dir) // fresh cache: loads from disk
+				if string(cold) != string(warm) {
+					t.Errorf("profile from disk-loaded program diverges from cold compile\ncold: %s\nwarm: %s",
+						cold, warm)
+				}
+			})
+		}
+	})
 }
 
 // TestArtifactWarmStartCompilesNothing pins the warm-start acceptance

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -37,7 +38,8 @@ const SessionHeader = "Mperfd-Session"
 // rate; a draining server is 503; a missed server-side deadline is
 // 504. A failure after streaming has started can no longer change the
 // status code, so it becomes a terminal type="error" Frame with a
-// machine-readable Code instead.
+// machine-readable Code instead. A POST body larger than MaxStdioFrame,
+// the bound on one stdio frame, is 413; a malformed one is 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -71,7 +73,10 @@ func (s *Server) Handler() http.Handler {
 		var body struct {
 			Name string `json:"name"`
 		}
-		_ = json.NewDecoder(r.Body).Decode(&body) // empty body = unnamed session
+		// An empty body opens an unnamed session.
+		if !decodeBody(w, r, "session", &body, true) {
+			return
+		}
 		cs := s.OpenSession(body.Name)
 		writeJSON(w, map[string]string{"id": cs.ID()})
 	})
@@ -137,8 +142,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, err error) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("mperfd: decoding profile request: %w", err))
+	if !decodeBody(w, r, "profile", &req, false) {
 		return
 	}
 	// Validate before streaming starts so name typos and bad sizing
@@ -209,8 +213,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("mperfd: decoding matrix request: %w", err))
+	if !decodeBody(w, r, "matrix", &req, false) {
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -229,6 +232,32 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, res)
+}
+
+// decodeBody reads a request body of at most MaxStdioFrame bytes, the
+// bound the stdio transport puts on one frame, and decodes it as JSON
+// into v. A larger body is answered with 413 and a malformed one with
+// 400; either way decodeBody reports false. With allowEmpty, an empty
+// body leaves v as it is.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any, allowEmpty bool) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxStdioFrame))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("mperfd: %s request body exceeds %d bytes", what, MaxStdioFrame))
+		return false
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("mperfd: reading %s request: %w", what, err))
+		return false
+	case len(body) == 0 && allowEmpty:
+		return true
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("mperfd: decoding %s request: %w", what, err))
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

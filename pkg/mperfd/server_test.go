@@ -168,6 +168,47 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimits: every POST endpoint bounds its body to the stdio
+// frame limit (413 beyond it), and POST /v1/sessions rejects a
+// malformed body with 400 instead of opening an unnamed session, while
+// an empty body still opens one.
+func TestHTTPBodyLimits(t *testing.T) {
+	srv := newTestServer(t, mperfd.Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A well-formed request whose one string pushes it just past the limit.
+	oversized := `{"name":"` + strings.Repeat("x", mperfd.MaxStdioFrame) + `"}`
+	for _, path := range []string{"/v1/profile", "/v1/matrix", "/v1/sessions"} {
+		if code := post(path, oversized); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got %d, want 413", path, code)
+		}
+	}
+	for _, body := range []string{`{`, `{"name":7}`, `[]`} {
+		if code := post("/v1/sessions", body); code != http.StatusBadRequest {
+			t.Errorf("/v1/sessions: body %s got %d, want 400", body, code)
+		}
+	}
+	if st := srv.Stats(); st.SessionsOpen != 0 {
+		t.Errorf("rejected bodies opened %d sessions", st.SessionsOpen)
+	}
+	if code := post("/v1/sessions", ""); code != http.StatusOK {
+		t.Errorf("/v1/sessions: empty body got %d, want 200", code)
+	}
+	if st := srv.Stats(); st.SessionsOpen != 1 {
+		t.Errorf("empty body opened %d sessions, want 1", st.SessionsOpen)
+	}
+}
+
 // blockCollector is a test collector that instantiates a machine,
 // parks until released, then returns the machine to the pool — the
 // instrument for the backpressure and cancellation tests.
